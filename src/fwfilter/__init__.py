@@ -35,6 +35,7 @@ from .evalbench import (
     ResultTable,
     TimingTable,
     kfold,
+    make_fitter,
     mse,
     run_experiment,
     summarize,
@@ -44,10 +45,6 @@ from .fwf_core import (
     DEFAULT_ALPHA_GRID,
     FwfConfig,
     FwfModel,
-    GVector,
-    compute_g,
-    compute_partner,
-    evaluate_functional,
     fit,
     predict,
     predict_batch,
@@ -65,7 +62,6 @@ from .kernel_stats import (
     crosscovariance,
     gaussian,
     gaussian_inverse,
-    rkhs_inner,
     silverman_sigma,
     toeplitz,
 )
@@ -101,11 +97,10 @@ __all__ = [
     # kernel statistics
     "KernelWidth", "LagProfile", "LagMatrix", "gaussian", "gaussian_inverse",
     "autocorrentropy", "crosscorrentropy", "autocovariance", "crosscovariance",
-    "toeplitz", "rkhs_inner", "silverman_sigma", "auto_ridge",
+    "toeplitz", "silverman_sigma", "auto_ridge",
     # core filter
-    "FwfConfig", "FwfModel", "GVector", "DEFAULT_ALPHA_GRID", "solve_weights",
-    "evaluate_functional", "compute_g", "compute_partner", "fit", "predict",
-    "predict_batch", "tune_alpha",
+    "FwfConfig", "FwfModel", "DEFAULT_ALPHA_GRID", "solve_weights", "fit",
+    "predict", "predict_batch", "tune_alpha",
     # neighbors
     "NeighborIndex", "build", "query", "query_batch", "linear_scan_query",
     # baselines
@@ -115,5 +110,5 @@ __all__ = [
     "save_model", "load_model",
     # benchmark harness
     "ExperimentConfig", "ResultRow", "ResultTable", "TimingTable", "kfold",
-    "mse", "run_experiment", "timing_scaling", "summarize",
+    "make_fitter", "mse", "run_experiment", "timing_scaling", "summarize",
 ]

@@ -19,6 +19,7 @@ from .kernel_stats import (
     KernelWidth,
     autocovariance,
     crosscovariance,
+    resolve_width,
     toeplitz,
 )
 from .signal_gen import Dataset
@@ -60,6 +61,9 @@ class WienerModel:
     def order_L(self) -> int:
         return self.weights.size
 
+    def predict(self, X) -> float | np.ndarray:
+        return wiener_predict(self, X)
+
 
 @dataclass(frozen=True)
 class KafModel:
@@ -87,6 +91,13 @@ class KafModel:
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
+
+    @property
+    def order_L(self) -> int:
+        return self.centers.shape[1]
+
+    def predict(self, X) -> float | np.ndarray:
+        return kaf_predict(self, X)
 
 
 def _fit_arrays(data) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -151,7 +162,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     """
     if eta < 0:
         raise ParameterError("eta must be non-negative")
-    sig = _resolve_sigma(data, sigma)
+    sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     N = X.shape[0]
     alpha = np.zeros(N)
@@ -171,20 +182,10 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     return KafModel(X, alpha, KernelWidth(sig), "klms")
 
 
-def _resolve_sigma(data: Dataset, sigma) -> float:
-    if sigma is None:
-        from .kernel_stats import silverman_sigma
-
-        return silverman_sigma(data.source_x).sigma
-    if isinstance(sigma, KernelWidth):
-        return sigma.sigma
-    return KernelWidth(float(sigma)).sigma
-
-
 def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
     if lam < 0:
         raise ParameterError("lambda must be non-negative")
-    sig = _resolve_sigma(data, sigma)
+    sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))
     from scipy.linalg import cho_factor, cho_solve

@@ -132,12 +132,15 @@ def cmd_fit(args) -> int:
     L = int(cfg.get("order_L", 10))
     horizon = int(cfg.get("horizon", 1))
     hyper = {k: v for k, v in cfg.items() if k not in _FIT_KEYS}
-    fit_fn, _ = evalbench._make_fitter(method, hyper, L, horizon)
+    fit_fn = evalbench.make_fitter(method, hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
     tic = time.perf_counter()
     model = fit_fn(data)
     fit_seconds = time.perf_counter() - tic
-    train_mse = _training_mse(model, data)
+    if isinstance(model, fwf_core.FwfModel):
+        train_mse = model.train_mse  # computed by fit; no second self-query
+    else:
+        train_mse = evalbench.mse(model.predict(data.windows), data.targets)
     model_io.save_model(model, args.out)
     print(f"fitted {method} on {len(data)} windows in {fit_seconds:.3f} s")
     print("training MSE %.17g" % train_mse)
@@ -151,45 +154,25 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _training_mse(model, data) -> float:
-    if isinstance(model, fwf_core.FwfModel):
-        return model.train_mse
-    pred = _predict_with(model, data.windows)
-    return evalbench.mse(pred, data.targets)
-
-
-def _predict_with(model, windows, k_neighbors=None):
-    if isinstance(model, fwf_core.FwfModel):
-        return fwf_core.predict_batch(model, windows, k_neighbors)
-    if isinstance(model, baselines.WienerModel):
-        return baselines.wiener_predict(model, windows)
-    return baselines.kaf_predict(model, windows)
-
-
-def _model_order(model) -> int:
-    if isinstance(model, fwf_core.FwfModel):
-        return model.config.order_L
-    if isinstance(model, baselines.WienerModel):
-        return model.order_L
-    return model.centers.shape[1]
-
-
 def cmd_predict(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     model = model_io.load_model(args.model)
-    model_L = _model_order(model)
-    L = int(cfg.get("order_L", model_L))
-    if L != model_L:
+    is_fwf = isinstance(model, fwf_core.FwfModel)
+    L = int(cfg.get("order_L", model.order_L))
+    if L != model.order_L:
         raise ParameterError(
-            f"config order_L={L} does not match model order_L={model_L}"
+            f"config order_L={L} does not match model order_L={model.order_L}"
         )
-    if isinstance(model, fwf_core.FwfModel):
-        horizon = int(cfg.get("horizon", model.config.horizon))
-    else:
-        horizon = int(cfg.get("horizon", 1))
-    data = _embed_from(args, cfg, L, horizon)
     k = cfg.get("k_neighbors")
-    pred = _predict_with(model, data.windows, k)
+    if k is not None and not is_fwf:
+        raise ParameterError("k_neighbors applies only to fwf models")
+    # only fwf model files record their horizon
+    horizon = int(cfg.get("horizon", model.config.horizon if is_fwf else 1))
+    data = _embed_from(args, cfg, L, horizon)
+    if k is None:
+        pred = model.predict(data.windows)
+    else:
+        pred = fwf_core.predict_batch(model, data.windows, k)
     pred = np.atleast_1d(np.asarray(pred, dtype=float))
     err = (pred - data.targets) ** 2
     with open(args.out, "w") as f:
@@ -230,6 +213,8 @@ def cmd_bench(args) -> int:
         (dict(m) for m in cfg.methods if m["name"] == timing_method), {}
     )
     timing_hyper.pop("name", None)
+    # validate the sweep before the experiment writes anything
+    evalbench.check_timing(timing_sizes, timing_repeats, timing_queries)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,10 +269,7 @@ def cmd_tune(args) -> int:
         for k, v in cfg.items()
         if k not in ("order_L", "horizon", "standardize", "grid", "seed")
     }
-    try:
-        fwf_cfg = fwf_core.FwfConfig(order_L=L, horizon=horizon, **hyper)
-    except TypeError as exc:
-        raise ParameterError(f"invalid tuning parameters: {exc}") from exc
+    fwf_cfg = evalbench.fwf_config(hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
     alpha = fwf_core.tune_alpha(
         data, fwf_cfg, None if grid is None else np.asarray(grid, dtype=float)

@@ -40,7 +40,10 @@ __all__ = [
     "mse",
     "make_series",
     "make_dataset",
+    "fwf_config",
+    "make_fitter",
     "run_experiment",
+    "check_timing",
     "timing_scaling",
     "write_results_csv",
     "write_timing_csv",
@@ -246,50 +249,39 @@ def _subset(data: Dataset, n_rows: int) -> Dataset:
     )
 
 
-def _make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
-    """Returns (fit, predict) closures: fit(Dataset) -> model,
-    predict(model, B x L) -> vector."""
+def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
+    """The filter configuration for a method entry's hyperparameters."""
+    try:
+        return fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
+    except TypeError as exc:
+        raise ParameterError(f"invalid fwf parameters: {exc}") from exc
+
+
+def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
+    """Validated fit for one method: fit(Dataset) -> model.
+
+    Every model it returns has ``order_L`` and a batch ``predict(X)``.  The
+    fit function is looked up when the fit runs, so a module attribute
+    wrapped after this call is still the one called.
+    """
     hyper = dict(hyper)
     hyper.pop("name", None)
     if name == "fwf":
-        try:
-            fwf_cfg = fwf_core.FwfConfig(
-                order_L=order_L, horizon=horizon, **hyper
-            )
-        except TypeError as exc:
-            raise ParameterError(f"invalid fwf parameters: {exc}") from exc
-        return (
-            lambda d: fwf_core.fit(d, fwf_cfg),
-            lambda m, X: fwf_core.predict_batch(m, X),
-        )
+        cfg = fwf_config(hyper, order_L, horizon)
+        return lambda d: fwf_core.fit(d, cfg)
+    if name not in METHODS:
+        raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
     if name == "wiener":
-        ridge = hyper.pop("ridge", "auto")
-        if hyper:
-            raise ParameterError(f"unknown wiener parameters: {sorted(hyper)}")
-        return (
-            lambda d: baselines.wiener_fit(d, order_L, ridge),
-            baselines.wiener_predict,
-        )
-    if name == "klms":
-        eta = float(hyper.pop("eta", 0.5))
-        sigma = hyper.pop("sigma", None)
-        if hyper:
-            raise ParameterError(f"unknown klms parameters: {sorted(hyper)}")
-        return (
-            lambda d: baselines.klms_fit(d, eta=eta, sigma=sigma),
-            baselines.kaf_predict,
-        )
-    if name in ("krls", "krr"):
-        lam = float(hyper.pop("lam", 1e-6))
-        sigma = hyper.pop("sigma", None)
-        if hyper:
-            raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
-        fit_fn = baselines.krls_fit if name == "krls" else baselines.krr_fit
-        return (
-            lambda d: fit_fn(d, lam=lam, sigma=sigma),
-            baselines.kaf_predict,
-        )
-    raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        args = {"L": order_L, "ridge": hyper.pop("ridge", "auto")}
+    else:
+        args = {"sigma": hyper.pop("sigma", None)}
+        if name == "klms":
+            args["eta"] = float(hyper.pop("eta", 0.5))
+        else:
+            args["lam"] = float(hyper.pop("lam", 1e-6))
+    if hyper:
+        raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
+    return lambda d: getattr(baselines, f"{name}_fit")(d, **args)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -311,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     table = ResultTable()
     for spec in cfg.methods:
         name = spec["name"]
-        fit_fn, predict_fn = _make_fitter(name, spec, cfg.order_L, cfg.horizon)
+        fit_fn = make_fitter(name, spec, cfg.order_L, cfg.horizon)
         for n_train in cfg.train_sizes:
             sub = _subset(data, n_train)
             try:
@@ -325,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
             for f, (_, test_idx) in enumerate(splits):
                 try:
                     tic = time.perf_counter()
-                    pred = predict_fn(model, data.windows[test_idx])
+                    pred = model.predict(data.windows[test_idx])
                     per_query = (time.perf_counter() - tic) / len(test_idx)
                     table.rows.append(
                         ResultRow(
@@ -340,6 +332,18 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
                 except Exception as exc:
                     table.errors.append((name, n_train, f, str(exc)))
     return table
+
+
+def check_timing(sizes, repeats: int, queries: int) -> tuple[int, ...]:
+    """Validate timing-sweep arguments; returns ``sizes`` as ints."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError("sizes must be >= 3 ascending values")
+    if repeats < 1:
+        raise ParameterError("repeats must be >= 1")
+    if queries < 1:
+        raise ParameterError("queries must be >= 1")
+    return sizes
 
 
 def timing_scaling(
@@ -357,28 +361,15 @@ def timing_scaling(
     over ``queries`` windows.  Slopes are least-squares fits on log-log
     points, so ``sizes`` needs at least 3 values.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("sizes must be >= 3 ascending values")
-    if repeats < 1:
-        raise ParameterError("repeats must be >= 1")
-    if queries < 1:
-        raise ParameterError("queries must be >= 1")
+    sizes = check_timing(sizes, repeats, queries)
     hyper = dict(hyper or {})
     if method == "fwf" and "alpha" not in hyper:
         # fixed alpha: grid search would only rescale the constant factor
         hyper["alpha"] = 0.5
-    cfg = ExperimentConfig(
-        dataset="mackey_glass",
-        generator={"downsample": 1},
-        order_L=10,
-        horizon=1,
-        train_sizes=(1, max(sizes[-1], queries)),
-        methods=({"name": method, **hyper},),
-        seed=seed,
-    )
-    data = make_dataset(cfg, sizes[-1] + queries)
-    fit_fn, predict_fn = _make_fitter(method, cfg.methods[0], cfg.order_L, cfg.horizon)
+    fit_fn = make_fitter(method, hyper, 10, 1)
+    n = sizes[-1] + queries + 10  # L - 1 + horizon samples beyond the rows
+    series = make_series("mackey_glass", {"downsample": 1}, seed, n)
+    data = embed(standardize(series), 10, 1)
     query_windows = data.windows[len(data) - queries :]
     fit_med, pred_med = [], []
     for n in sizes:
@@ -391,7 +382,7 @@ def timing_scaling(
             fit_times.append(time.perf_counter() - tic)
         for _ in range(repeats):
             tic = time.perf_counter()
-            predict_fn(model, query_windows)
+            model.predict(query_windows)
             pred_times.append(time.perf_counter() - tic)
         fit_med.append(float(np.median(fit_times)))
         pred_med.append(float(np.median(pred_times)) / queries)

@@ -24,7 +24,7 @@ from .kernel_stats import (
     crosscorrentropy,
     gaussian,
     gaussian_inverse,
-    silverman_sigma,
+    resolve_width,
     toeplitz,
 )
 from .signal_gen import Dataset
@@ -32,13 +32,9 @@ from .signal_gen import Dataset
 __all__ = [
     "FwfConfig",
     "FwfModel",
-    "GVector",
     "DEFAULT_ALPHA_GRID",
     "G_FLOOR",
     "solve_weights",
-    "evaluate_functional",
-    "compute_g",
-    "compute_partner",
     "fit",
     "predict",
     "predict_batch",
@@ -94,21 +90,6 @@ class FwfConfig:
             raise ParameterError("ridge must be a non-negative real or 'auto'")
 
 
-@dataclass(frozen=True)
-class GVector:
-    """Kernel similarities between one target value and every weight."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DimensionError("GVector must be 1-d")
-        if not np.all((values > 0) & (values <= 1)):
-            raise ParameterError("GVector entries must lie in (0, 1]")
-        object.__setattr__(self, "values", values)
-
-
 @dataclass
 class FwfModel:
     """Fitted filter state; immutable by convention after :func:`fit`."""
@@ -129,6 +110,14 @@ class FwfModel:
     @property
     def n_train(self) -> int:
         return self.train_windows.shape[0]
+
+    @property
+    def order_L(self) -> int:
+        return self.config.order_L
+
+    def predict(self, X) -> np.ndarray:
+        """Batch prediction with the fitted K; see :func:`predict_batch`."""
+        return predict_batch(self, X)
 
 
 def solve_weights(V, Pv, ridge: float) -> np.ndarray:
@@ -167,51 +156,6 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     return w
 
 
-def evaluate_functional(weights, centers, point, w) -> float:
-    """Evaluate sum_tau weights(tau) * G_sigma(centers(tau), point(tau))."""
-    weights = np.asarray(weights, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    point = np.asarray(point, dtype=float)
-    if weights.shape != centers.shape or centers.shape != point.shape:
-        raise DimensionError("weights, centers, and point must share a length")
-    return float(np.sum(weights * gaussian(centers, point, w)))
-
-
-def compute_g(z: float, weights, w_weight) -> GVector:
-    """Kernel similarity of a target value to each weight entry.
-
-    Values are floored at ``G_FLOOR`` so the later inversion stays finite.
-    """
-    weights = np.asarray(weights, dtype=float)
-    g = np.maximum(gaussian(weights, z, w_weight), G_FLOOR)
-    return GVector(g)
-
-
-def compute_partner(x, g: GVector, alpha: float, w) -> np.ndarray:
-    """Partner vector: x shifted by alpha times the kernel-inverse distance.
-
-    The non-negative inverse branch is subtracted by convention; either
-    branch yields the same kernel evaluations.
-    """
-    x = np.asarray(x, dtype=float)
-    gv = g.values if isinstance(g, GVector) else GVector(np.asarray(g)).values
-    if x.shape != gv.shape:
-        raise DimensionError("window and g vector must share a length")
-    return x - alpha * gaussian_inverse(gv, w)
-
-
-def _g_matrix(targets: np.ndarray, weights: np.ndarray, sigma_weight: float):
-    """Row i = compute_g(targets[i], weights).values, vectorized."""
-    d = weights[None, :] - targets[:, None]
-    g = np.exp(-(d * d) / (2.0 * sigma_weight * sigma_weight))
-    return np.maximum(g, G_FLOOR)
-
-
-def _partner_offsets(g_mat: np.ndarray, sigma_input: float) -> np.ndarray:
-    """Kernel-inverse distances (the alpha-independent partner offsets)."""
-    return sigma_input * np.sqrt(-2.0 * np.log(g_mat))
-
-
 def _functional_outputs(
     weights, partners, nbr_idx, queries, sigma_input, chunk=65536
 ):
@@ -232,22 +176,6 @@ def _functional_outputs(
     return out
 
 
-def _resolve_widths(data: Dataset, cfg: FwfConfig):
-    if cfg.sigma_input is None:
-        s_in = silverman_sigma(data.source_x).sigma
-    elif isinstance(cfg.sigma_input, KernelWidth):
-        s_in = cfg.sigma_input.sigma
-    else:
-        s_in = KernelWidth(float(cfg.sigma_input)).sigma
-    if cfg.sigma_weight is None:
-        s_w = s_in
-    elif isinstance(cfg.sigma_weight, KernelWidth):
-        s_w = cfg.sigma_weight.sigma
-    else:
-        s_w = KernelWidth(float(cfg.sigma_weight)).sigma
-    return s_in, s_w
-
-
 def _prepare(data: Dataset, cfg: FwfConfig):
     """Everything in the pipeline that does not depend on alpha."""
     if len(data) < 1:
@@ -256,13 +184,18 @@ def _prepare(data: Dataset, cfg: FwfConfig):
         raise DimensionError(
             f"dataset order {data.order_L} != config order {cfg.order_L}"
         )
-    s_in, s_w = _resolve_widths(data, cfg)
-    V = toeplitz(autocorrentropy(data.source_x, cfg.order_L, s_in))
-    Pv = crosscorrentropy(data.source_x, data.source_z, cfg.order_L, s_in)
+    x = data.source_x
+    s_in = resolve_width(cfg.sigma_input, x)
+    s_w = s_in if cfg.sigma_weight is None else resolve_width(cfg.sigma_weight, x)
+    V = toeplitz(autocorrentropy(x, cfg.order_L, s_in))
+    Pv = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
     ridge = auto_ridge(V) if cfg.ridge == "auto" else float(cfg.ridge)
     weights = solve_weights(V, Pv, ridge)
-    g_mat = _g_matrix(data.targets, weights, s_w)
-    offsets = _partner_offsets(g_mat, s_in)
+    # kernel similarity of each target to each weight, floored so the
+    # inverse stays finite; the inverse distances are the alpha-independent
+    # partner offsets
+    g = np.maximum(gaussian(weights[None, :], data.targets[:, None], s_w), G_FLOOR)
+    offsets = gaussian_inverse(g, s_in)
     index = neighbors.build(data.windows)
     k_eff = min(cfg.k_neighbors, len(data))
     nbr_idx, _ = neighbors.query_batch(index, data.windows, k_eff)
@@ -274,6 +207,19 @@ def _train_stats(weights, partners, nbr_idx, windows, targets, s_in):
     bias = float(np.mean(raw) - np.mean(targets))
     mse = float(np.mean((raw - bias - targets) ** 2))
     return bias, mse
+
+
+def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx) -> float:
+    """Grid alpha with the lowest training MSE (see :func:`tune_alpha`)."""
+    best_alpha, best_mse = None, np.inf
+    for a in np.sort(grid):
+        partners = data.windows - a * offsets
+        _, mse = _train_stats(
+            weights, partners, nbr_idx, data.windows, data.targets, s_in
+        )
+        if mse < best_mse:
+            best_alpha, best_mse = float(a), mse
+    return best_alpha
 
 
 def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
@@ -289,15 +235,7 @@ def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
     if not np.all(grid > 0):
         raise ParameterError("alpha grid entries must be positive")
     s_in, _, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
-    best_alpha, best_mse = None, np.inf
-    for a in np.sort(grid):
-        partners = data.windows - a * offsets
-        _, mse = _train_stats(
-            weights, partners, nbr_idx, data.windows, data.targets, s_in
-        )
-        if mse < best_mse:
-            best_alpha, best_mse = float(a), mse
-    return best_alpha
+    return _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
 
 
 def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
@@ -307,16 +245,10 @@ def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     on the same precomputed state.
     """
     s_in, s_w, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
-
     if cfg.alpha == "auto":
-        alpha, best = None, np.inf
-        for a in np.sort(DEFAULT_ALPHA_GRID):
-            partners = data.windows - a * offsets
-            _, mse = _train_stats(
-                weights, partners, nbr_idx, data.windows, data.targets, s_in
-            )
-            if mse < best:
-                alpha, best = float(a), mse
+        alpha = _search_alpha(
+            data, DEFAULT_ALPHA_GRID, s_in, weights, offsets, nbr_idx
+        )
     else:
         alpha = float(cfg.alpha)
 

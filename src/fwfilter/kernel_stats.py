@@ -1,9 +1,9 @@
 """Gaussian kernel primitives and lag-profile estimators.
 
 Implements the unnormalized Gaussian kernel, its inverse, empirical
-correntropy/covariance lag profiles, the Toeplitz lift from profile to
-matrix, and the inner product induced by a profile.  Estimators average
-over all valid pairs per lag (1/(N-tau) normalization).
+correntropy/covariance lag profiles, and the Toeplitz lift from profile
+to matrix.  Estimators average over all valid pairs per lag (1/(N-tau)
+normalization).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ __all__ = [
     "autocovariance",
     "crosscovariance",
     "toeplitz",
-    "rkhs_inner",
     "silverman_sigma",
+    "resolve_width",
     "auto_ridge",
-    "write_profile_csv",
 ]
 
 PROFILE_KINDS = ("correntropy", "covariance", "cross_correntropy", "cross_covariance")
@@ -144,6 +143,20 @@ def _check_length(n: int, L: int):
         raise DimensionError(f"series of length {n} too short for L={L}")
 
 
+def _per_lag(a, b, lags, stat) -> list:
+    """Mean over t of stat(a(t), b(t - tau)) for each tau in ``lags``."""
+    n = len(a)
+    return [np.mean(stat(a[t:], b[: n - t])) for t in lags]
+
+
+def _cross_values(x, z, L):
+    xv, zv = _values(x), _values(z)
+    if len(xv) != len(zv):
+        raise AlignmentError("cross profile requires equal-length series")
+    _check_length(len(xv), L)
+    return xv, zv
+
+
 def autocorrentropy(s, L: int, w) -> LagProfile:
     """Empirical auto-correntropy profile v(tau), tau = 0..L-1.
 
@@ -152,12 +165,8 @@ def autocorrentropy(s, L: int, w) -> LagProfile:
     x = _values(s)
     _check_length(len(x), L)
     sg = _sigma(w)
-    vals = np.empty(L)
-    vals[0] = 1.0
-    for t in range(1, L):
-        d = x[t:] - x[:-t]
-        vals[t] = np.mean(np.exp(-(d * d) / (2.0 * sg * sg)))
-    return LagProfile("correntropy", vals)
+    vals = _per_lag(x, x, range(1, L), lambda a, b: gaussian(a, b, sg))
+    return LagProfile("correntropy", [1.0, *vals])
 
 
 def crosscorrentropy(x, z, L: int, w) -> LagProfile:
@@ -165,15 +174,9 @@ def crosscorrentropy(x, z, L: int, w) -> LagProfile:
 
     P_v(tau) = mean over t of G_sigma(Z(t), X(t - tau)) for aligned series.
     """
-    xv, zv = _values(x), _values(z)
-    if len(xv) != len(zv):
-        raise AlignmentError("cross profile requires equal-length series")
-    _check_length(len(xv), L)
+    xv, zv = _cross_values(x, z, L)
     sg = _sigma(w)
-    vals = np.empty(L)
-    for t in range(L):
-        d = zv[t:] - xv[: len(xv) - t] if t > 0 else zv - xv
-        vals[t] = np.mean(np.exp(-(d * d) / (2.0 * sg * sg)))
+    vals = _per_lag(zv, xv, range(L), lambda a, b: gaussian(a, b, sg))
     return LagProfile("cross_correntropy", vals)
 
 
@@ -181,48 +184,18 @@ def autocovariance(s, L: int) -> LagProfile:
     """Empirical autocovariance profile for a zero-mean series."""
     x = _values(s)
     _check_length(len(x), L)
-    vals = np.empty(L)
-    vals[0] = np.mean(x * x)
-    for t in range(1, L):
-        vals[t] = np.mean(x[t:] * x[:-t])
-    return LagProfile("covariance", vals)
+    return LagProfile("covariance", _per_lag(x, x, range(L), np.multiply))
 
 
 def crosscovariance(x, z, L: int) -> LagProfile:
     """Empirical cross-covariance profile for aligned zero-mean series."""
-    xv, zv = _values(x), _values(z)
-    if len(xv) != len(zv):
-        raise AlignmentError("cross profile requires equal-length series")
-    _check_length(len(xv), L)
-    vals = np.empty(L)
-    vals[0] = np.mean(zv * xv)
-    for t in range(1, L):
-        vals[t] = np.mean(zv[t:] * xv[: len(xv) - t])
-    return LagProfile("cross_covariance", vals)
+    xv, zv = _cross_values(x, z, L)
+    return LagProfile("cross_covariance", _per_lag(zv, xv, range(L), np.multiply))
 
 
 def toeplitz(profile: LagProfile) -> LagMatrix:
     """Lift a lag profile to its symmetric Toeplitz matrix."""
     return LagMatrix(scipy.linalg.toeplitz(profile.values))
-
-
-def rkhs_inner(coef_a, coef_b, profile: LagProfile) -> float:
-    """Inner product of two finite expansions under a lag profile.
-
-    Each argument is a sequence of ``(time_index, coefficient)`` pairs; the
-    result is ``sum_ij a_i b_j profile(|t_i - s_j|)``.
-    """
-    L = len(profile)
-    total = 0.0
-    for ta, ca in coef_a:
-        for tb, cb in coef_b:
-            lag = abs(int(ta) - int(tb))
-            if lag >= L:
-                raise ParameterError(
-                    f"lag {lag} outside profile range 0..{L - 1}"
-                )
-            total += ca * cb * profile.values[lag]
-    return total
 
 
 def silverman_sigma(s) -> KernelWidth:
@@ -234,6 +207,12 @@ def silverman_sigma(s) -> KernelWidth:
     if sd == 0.0:
         raise DegenerateSeriesError("cannot pick a bandwidth for a constant series")
     return KernelWidth(1.06 * sd * len(x) ** (-0.2))
+
+
+def resolve_width(w, x) -> float:
+    """Sigma of a KernelWidth or positive float; ``None`` applies
+    Silverman's rule to the series ``x``."""
+    return silverman_sigma(x).sigma if w is None else _sigma(w)
 
 
 def auto_ridge(mat, base_scale: float = 1e-8) -> float:
@@ -250,11 +229,3 @@ def auto_ridge(mat, base_scale: float = 1e-8) -> float:
     if lam > base:
         return float(base)
     return float(2.0 * abs(lam) + base)
-
-
-def write_profile_csv(profile: LagProfile, path) -> None:
-    """Write a profile as two-column CSV with header ``lag,value``."""
-    with open(path, "w") as f:
-        f.write("lag,value\n")
-        for lag, v in enumerate(profile.values):
-            f.write("%d,%.17g\n" % (lag, v))

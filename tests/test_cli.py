@@ -246,6 +246,27 @@ class TestPredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["wiener", "klms", "krls", "krr"])
+    def test_k_neighbors_rejected_for_baselines(
+        self, tmp_path, capsys, mg_csv, method
+    ):
+        cfg = write_json(tmp_path / "fit.json", {"method": method, "order_L": 10})
+        model_path = tmp_path / "model.npz"
+        code, _, _ = run(
+            capsys, "fit", "--config", cfg, "--series", mg_csv,
+            "--out", str(model_path),
+        )
+        assert code == 0
+        pred_cfg = write_json(tmp_path / "pred.json", {"k_neighbors": 3})
+        out = tmp_path / "p.csv"
+        code, _, stderr = run(
+            capsys, "predict", "--config", pred_cfg, "--model", str(model_path),
+            "--series", mg_csv, "--out", str(out),
+        )
+        assert code == 2
+        assert "k_neighbors" in stderr and len(stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path, capsys, mg_csv):
         code, _, stderr = run(
             capsys, "predict", "--model", str(tmp_path / "ghost.npz"),
@@ -323,6 +344,19 @@ class TestBench:
         )
         assert code == 2
         assert "krls" in stderr
+
+    def test_short_timing_sizes_rejected_before_running(self, tmp_path, capsys):
+        # with no timing block the sweep reuses train_sizes, which is too short
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120], "folds": 2,
+             "test_size": 30, "methods": [{"name": "wiener"}]},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert "sizes" in stderr
+        assert not (out / "results.csv").exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(

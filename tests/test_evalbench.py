@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +306,38 @@ class TestRunExperiment:
         )
         with pytest.raises(ParameterError, match="momentum"):
             eb.run_experiment(cfg)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# runs in a child interpreter so the tracer's wrappers stay out of this one
+_TRACED_KRLS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+import fwfilter as fw
+from fwfilter import evalbench
+tracer = tracing.Tracer()
+tracing.install(tracer)
+series = fw.standardize(fw.gen_mackey_glass(fw.MGParams(downsample=6), 200))
+data = fw.embed(series, 5, 1)
+model = evalbench.make_fitter("krls", {"sigma": 1.0}, 5, 1)(data)
+model.predict(data.windows)
+print(json.dumps(sorted({s.name for s in tracer.spans})))
+"""
+
+
+class TestMakeFitter:
+    def test_benchmark_tracer_sees_baseline_fit_and_predict(self):
+        out = subprocess.run(
+            [sys.executable, "-c", _TRACED_KRLS,
+             str(REPO / "src"), str(REPO / "perfbench")],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        names = json.loads(out.stdout)
+        assert "baselines.krls_fit" in names
+        assert "baselines.kaf_predict" in names
 
 
 class TestTimingScaling:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fwfilter as fw
+import oracles
 from fwfilter import fwf_core, neighbors
 from fwfilter.errors import ConditioningError, DimensionError, ParameterError
 
@@ -45,18 +46,18 @@ class TestFwfConfig:
 
 class TestGVector:
     def test_holds_values(self):
-        g = fw.GVector(np.array([1.0, 0.5, 1e-300]))
+        g = oracles.GVector(np.array([1.0, 0.5, 1e-300]))
         assert g.values[2] == 1e-300
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
-            fw.GVector(np.array([0.5, 1.5]))
+            oracles.GVector(np.array([0.5, 1.5]))
         with pytest.raises(ParameterError):
-            fw.GVector(np.array([0.0, 0.5]))
+            oracles.GVector(np.array([0.0, 0.5]))
 
     def test_rejects_matrix(self):
         with pytest.raises(DimensionError):
-            fw.GVector(np.ones((2, 2)))
+            oracles.GVector(np.ones((2, 2)))
 
 
 class TestSolveWeights:
@@ -104,12 +105,12 @@ class TestEvaluateFunctional:
     def test_point_at_centers(self, rng):
         w = rng.standard_normal(6)
         c = rng.standard_normal(6)
-        assert fw.evaluate_functional(w, c, c, 1.0) == pytest.approx(
+        assert oracles.evaluate_functional(w, c, c, 1.0) == pytest.approx(
             np.sum(w), rel=1e-15
         )
 
     def test_single_active_weight(self):
-        out = fw.evaluate_functional(
+        out = oracles.evaluate_functional(
             [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], fw.KernelWidth(1.0)
         )
         assert out == pytest.approx(np.exp(-0.5), rel=1e-14)
@@ -120,45 +121,45 @@ class TestEvaluateFunctional:
         ref = sum(
             w[t] * np.exp(-((c[t] - p[t]) ** 2) / (2 * sg * sg)) for t in range(8)
         )
-        assert fw.evaluate_functional(w, c, p, sg) == pytest.approx(ref, rel=1e-14)
+        assert oracles.evaluate_functional(w, c, p, sg) == pytest.approx(ref, rel=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            fw.evaluate_functional([1.0], [1.0, 2.0], [1.0, 2.0], 1.0)
+            oracles.evaluate_functional([1.0], [1.0, 2.0], [1.0, 2.0], 1.0)
 
 
 class TestComputeG:
     def test_exact_hit_gives_one(self):
-        g = fw.compute_g(0.5, np.array([0.5, 2.0]), 1.0)
+        g = oracles.compute_g(0.5, np.array([0.5, 2.0]), 1.0)
         assert g.values[0] == 1.0
         assert g.values[1] == pytest.approx(np.exp(-1.125), rel=1e-14)
 
     def test_far_target_is_floored(self):
-        g = fw.compute_g(1e160, np.array([0.0]), 1.0)
+        g = oracles.compute_g(1e160, np.array([0.0]), 1.0)
         assert g.values[0] == fwf_core.G_FLOOR
 
     def test_matches_gaussian(self, rng):
         weights = rng.standard_normal(10)
         z = rng.standard_normal()
-        g = fw.compute_g(z, weights, 0.4)
+        g = oracles.compute_g(z, weights, 0.4)
         np.testing.assert_allclose(g.values, fw.gaussian(weights, z, 0.4), rtol=1e-15)
 
 
 class TestComputePartner:
     def test_zero_alpha_returns_window(self, rng):
         x = rng.standard_normal(5)
-        g = fw.GVector(np.full(5, 0.3))
-        np.testing.assert_array_equal(fw.compute_partner(x, g, 0.0, 1.0), x)
+        g = oracles.GVector(np.full(5, 0.3))
+        np.testing.assert_array_equal(oracles.compute_partner(x, g, 0.0, 1.0), x)
 
     def test_unit_g_returns_window(self, rng):
         x = rng.standard_normal(5)
-        g = fw.GVector(np.ones(5))
-        np.testing.assert_array_equal(fw.compute_partner(x, g, 0.7, 1.0), x)
+        g = oracles.GVector(np.ones(5))
+        np.testing.assert_array_equal(oracles.compute_partner(x, g, 0.7, 1.0), x)
 
     def test_partner_never_exceeds_window(self, rng):
         x = rng.standard_normal(8)
-        g = fw.GVector(rng.uniform(0.01, 1.0, 8))
-        p = fw.compute_partner(x, g, 0.5, 1.0)
+        g = oracles.GVector(rng.uniform(0.01, 1.0, 8))
+        p = oracles.compute_partner(x, g, 0.5, 1.0)
         assert np.all(p <= x)
 
     def test_kernel_identity(self, rng):
@@ -166,16 +167,16 @@ class TestComputePartner:
         sg = 0.8
         for _ in range(50):
             x = rng.standard_normal(6)
-            g = fw.GVector(rng.uniform(0.05, 1.0, 6))
+            g = oracles.GVector(rng.uniform(0.05, 1.0, 6))
             alpha = rng.uniform(0.05, 2.0)
-            p = fw.compute_partner(x, g, alpha, sg)
+            p = oracles.compute_partner(x, g, alpha, sg)
             np.testing.assert_allclose(
                 fw.gaussian(p, x, sg), g.values ** (alpha**2), rtol=1e-12
             )
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            fw.compute_partner(np.ones(3), fw.GVector(np.ones(2)), 0.5, 1.0)
+            oracles.compute_partner(np.ones(3), oracles.GVector(np.ones(2)), 0.5, 1.0)
 
 
 class TestFit:
@@ -201,8 +202,8 @@ class TestFit:
     def test_partners_follow_definition(self, small_data, small_model):
         m = small_model
         for i in (0, 41, 333):
-            g = fw.compute_g(small_data.targets[i], m.weights, m.sigma_weight)
-            ref = fw.compute_partner(
+            g = oracles.compute_g(small_data.targets[i], m.weights, m.sigma_weight)
+            ref = oracles.compute_partner(
                 small_data.windows[i], g, m.alpha, m.sigma_input
             )
             np.testing.assert_allclose(m.partners[i], ref, rtol=1e-12, atol=1e-12)
@@ -252,7 +253,7 @@ class TestPredict:
         q = small_data.windows[37] + 0.003
         nn, _ = neighbors.query(m.neighbor_index, q, 1)
         direct = (
-            fw.evaluate_functional(m.weights, m.partners[nn[0]], q, m.sigma_input)
+            oracles.evaluate_functional(m.weights, m.partners[nn[0]], q, m.sigma_input)
             - m.bias
         )
         assert fw.predict(m, q, K=1) == direct
@@ -265,7 +266,7 @@ class TestPredict:
             ref = (
                 np.mean(
                     [
-                        fw.evaluate_functional(
+                        oracles.evaluate_functional(
                             m.weights, m.partners[j], q, m.sigma_input
                         )
                         for j in nn

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fwfilter as fw
+from fwfilter import evalbench
 from fwfilter.errors import DataError
 from fwfilter.model_io import FORMAT_VERSION
 
@@ -65,6 +66,32 @@ class TestBaselineRoundtrips:
         assert back.sigma.sigma == m.sigma.sigma
         X = rng.standard_normal((20, 3))
         np.testing.assert_array_equal(fw.kaf_predict(m, X), fw.kaf_predict(back, X))
+
+
+# the module-level batch predict each model kind's predict() delegates to
+MODULE_PREDICT = {
+    "fwf": fw.predict_batch,
+    "wiener": fw.wiener_predict,
+    "klms": fw.kaf_predict,
+    "krls": fw.kaf_predict,
+    "krr": fw.kaf_predict,
+}
+HYPER = {"fwf": {"sigma_input": 0.8, "alpha": 0.4}, "wiener": {}}
+
+
+class TestProtocolRoundtrip:
+    @pytest.mark.parametrize("name", evalbench.METHODS)
+    def test_order_and_predict_survive(self, fir_data, tmp_path, rng, name):
+        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        back = fw.load_model(path)
+        X = rng.standard_normal((20, 3))
+        expected = MODULE_PREDICT[name](m, X).tobytes()
+        for model in (m, back):
+            assert model.order_L == 3
+            assert model.predict(X).tobytes() == expected
+            assert MODULE_PREDICT[name](model, X).tobytes() == expected
 
 
 class TestLoadValidation:
