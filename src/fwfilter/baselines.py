@@ -221,11 +221,11 @@ def kaf_predict(m: KafModel, x, chunk: int = 4096) -> float | np.ndarray:
     X = x[None, :] if single else x
     if X.ndim != 2:
         raise DimensionError("expected a window or a B x L batch")
+    if X.shape[1] != m.centers.shape[1]:
+        raise DimensionError("window length does not match model centers")
     if m.n_centers == 0:
         out = np.zeros(X.shape[0])
         return 0.0 if single else out
-    if X.shape[1] != m.centers.shape[1]:
-        raise DimensionError("window length does not match model centers")
     inv2s2 = 1.0 / (2.0 * m.sigma.sigma**2)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):

@@ -214,7 +214,9 @@ def cmd_bench(args) -> int:
     )
     timing_hyper.pop("name", None)
     # validate the sweep before the experiment writes anything
-    evalbench.check_timing(timing_sizes, timing_repeats, timing_queries)
+    evalbench.check_timing(
+        timing_method, timing_sizes, timing_repeats, timing_queries, timing_hyper
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

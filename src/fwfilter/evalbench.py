@@ -334,8 +334,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def check_timing(sizes, repeats: int, queries: int) -> tuple[int, ...]:
-    """Validate timing-sweep arguments; returns ``sizes`` as ints."""
+def check_timing(method: str, sizes, repeats: int, queries: int, hyper=None):
+    """Validate a timing sweep before it runs.
+
+    Returns ``sizes`` as ints and the validated fit the sweep times; fwf
+    without an ``alpha`` is timed at the fixed alpha 0.5.
+    """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("sizes must be >= 3 ascending values")
@@ -343,7 +347,11 @@ def check_timing(sizes, repeats: int, queries: int) -> tuple[int, ...]:
         raise ParameterError("repeats must be >= 1")
     if queries < 1:
         raise ParameterError("queries must be >= 1")
-    return sizes
+    hyper = dict(hyper or {})
+    if method == "fwf" and "alpha" not in hyper:
+        # fixed alpha: grid search would only rescale the constant factor
+        hyper["alpha"] = 0.5
+    return sizes, make_fitter(method, hyper, 10, 1)
 
 
 def timing_scaling(
@@ -361,12 +369,7 @@ def timing_scaling(
     over ``queries`` windows.  Slopes are least-squares fits on log-log
     points, so ``sizes`` needs at least 3 values.
     """
-    sizes = check_timing(sizes, repeats, queries)
-    hyper = dict(hyper or {})
-    if method == "fwf" and "alpha" not in hyper:
-        # fixed alpha: grid search would only rescale the constant factor
-        hyper["alpha"] = 0.5
-    fit_fn = make_fitter(method, hyper, 10, 1)
+    sizes, fit_fn = check_timing(method, sizes, repeats, queries, hyper)
     n = sizes[-1] + queries + 10  # L - 1 + horizon samples beyond the rows
     series = make_series("mackey_glass", {"downsample": 1}, seed, n)
     data = embed(standardize(series), 10, 1)

@@ -51,6 +51,10 @@ G_FLOOR = 1e-300
 # maximum relative residual accepted from the weight solve
 RESIDUAL_TOL = 1e-10
 
+# query rows per block of the functional evaluation; at K=2 and L=10 the
+# gathered points, offsets and work buffer of one block take under 1 MB
+_ROW_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class FwfConfig:
@@ -157,23 +161,59 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
 
 
 def _functional_outputs(
-    weights, partners, nbr_idx, queries, sigma_input, chunk=65536
+    weights, points, nbr_idx, queries, sigma_input, offsets=None, alphas=None
 ):
-    """Mean over neighbors of the functional evaluated at their partners.
+    """Mean over neighbors of the functional at each neighbor's partner.
 
-    ``nbr_idx`` is B x K neighbor rows per query; returns length-B raw
-    predictions (no bias subtraction).
+    The one evaluation of the functional, used by the alpha search, the
+    fit's training statistics and :func:`predict_batch`.  ``nbr_idx`` is
+    B x K neighbor rows per query.  With ``offsets=None`` the partners are
+    ``points`` and the result has one row; otherwise row ``j`` uses the
+    partners ``points - alphas[j]*offsets``.  Returns a ``rows x B`` array
+    of raw outputs (no bias subtraction).
+
+    Queries are taken in chunks of ``_ROW_CHUNK`` rows, whose ``b x K x L``
+    blocks stay in cache: each chunk gathers its neighbors' points and
+    offsets once and evaluates every alpha on them in one reused buffer.
+    Per element the steps are ``d = (P - a*O) - Q``, ``d*d``, negation,
+    division by ``2*sigma_input**2``, ``exp`` and the product with the
+    weights, in that order, followed by a sum over L and a mean over K of a
+    contiguous block; so each row is bitwise the one a separate evaluation
+    of its partner set gives, whatever the chunking.
     """
-    B = queries.shape[0]
-    out = np.empty(B)
+    B, K = nbr_idx.shape
+    n_rows = 1 if offsets is None else len(alphas)
+    raw = np.empty((n_rows, B))
     s2 = 2.0 * sigma_input * sigma_input
-    for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
-        p = partners[nbr_idx[lo:hi]]  # b x K x L
-        d = p - queries[lo:hi, None, :]
-        ker = np.exp(-(d * d) / s2)
-        out[lo:hi] = (ker * weights[None, None, :]).sum(axis=2).mean(axis=1)
-    return out
+    shape = (min(B, _ROW_CHUNK), K, points.shape[1])
+    # weights and queries are laid out in full blocks, so that each pass
+    # over a chunk runs over contiguous memory instead of broadcasting
+    # along a short inner axis
+    d_buf, q_buf, w_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    w_buf[...] = weights
+    for lo in range(0, B, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, B)
+        idx = nbr_idx[lo:hi]
+        pts = points[idx]  # b x K x L
+        offs = None if offsets is None else offsets[idx]
+        d, q, w = d_buf[: hi - lo], q_buf[: hi - lo], w_buf[: hi - lo]
+        q[...] = queries[lo:hi, None, :]
+        for j in range(n_rows):
+            if offs is None:
+                np.subtract(pts, q, out=d)
+            else:
+                np.multiply(alphas[j], offs, out=d)
+                np.subtract(pts, d, out=d)
+                np.subtract(d, q, out=d)
+            np.multiply(d, d, out=d)
+            np.negative(d, out=d)
+            np.divide(d, s2, out=d)
+            np.exp(d, out=d)
+            np.multiply(d, w, out=d)
+            # the sum over K divided by K is what mean(axis=1) computes,
+            # without its per-call overhead
+            raw[j, lo:hi] = d.sum(axis=2).sum(axis=1) / K
+    return raw
 
 
 def _prepare(data: Dataset, cfg: FwfConfig):
@@ -202,32 +242,37 @@ def _prepare(data: Dataset, cfg: FwfConfig):
     return s_in, s_w, ridge, weights, offsets, index, nbr_idx
 
 
-def _train_stats(weights, partners, nbr_idx, windows, targets, s_in):
-    raw = _functional_outputs(weights, partners, nbr_idx, windows, s_in)
+def _train_stats(raw, targets):
+    """Training bias and MSE of one row of raw outputs."""
     bias = float(np.mean(raw) - np.mean(targets))
     mse = float(np.mean((raw - bias - targets) ** 2))
     return bias, mse
 
 
-def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx) -> float:
-    """Grid alpha with the lowest training MSE (see :func:`tune_alpha`)."""
-    best_alpha, best_mse = None, np.inf
-    for a in np.sort(grid):
-        partners = data.windows - a * offsets
-        _, mse = _train_stats(
-            weights, partners, nbr_idx, data.windows, data.targets, s_in
-        )
+def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
+    """Evaluate every grid alpha on the training set in one kernel pass.
+
+    Returns the sorted grid, the training ``(bias, mse)`` at each of its
+    points, and the index of the lowest MSE; ties go to the smaller alpha.
+    """
+    alphas = np.sort(grid)
+    raw = _functional_outputs(
+        weights, data.windows, nbr_idx, data.windows, s_in, offsets, alphas
+    )
+    stats = [_train_stats(r, data.targets) for r in raw]
+    best, best_mse = 0, np.inf
+    for j, (_, mse) in enumerate(stats):
         if mse < best_mse:
-            best_alpha, best_mse = float(a), mse
-    return best_alpha
+            best, best_mse = j, mse
+    return alphas, stats, best
 
 
 def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
     """Pick the alpha minimizing training MSE over a grid.
 
     Weights, kernel-inverse offsets, and the neighbor assignment are
-    computed once; only partners and bias vary per candidate.  Ties break
-    toward smaller alpha.
+    computed once; one pass of the functional kernel then evaluates every
+    candidate, with its own bias.  Ties break toward smaller alpha.
     """
     grid = DEFAULT_ALPHA_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -235,27 +280,24 @@ def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
     if not np.all(grid > 0):
         raise ParameterError("alpha grid entries must be positive")
     s_in, _, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
-    return _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
+    alphas, _, best = _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
+    return float(alphas[best])
 
 
 def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     """Fit the filter: weights, partner set, neighbor index, bias.
 
     With ``alpha="auto"`` the grid search of :func:`tune_alpha` runs inline
-    on the same precomputed state.
+    on the same precomputed state; a fixed alpha is a one-point grid.
     """
     s_in, s_w, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
-    if cfg.alpha == "auto":
-        alpha = _search_alpha(
-            data, DEFAULT_ALPHA_GRID, s_in, weights, offsets, nbr_idx
-        )
-    else:
-        alpha = float(cfg.alpha)
-
-    partners = data.windows - alpha * offsets
-    bias, mse = _train_stats(
-        weights, partners, nbr_idx, data.windows, data.targets, s_in
+    grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else [float(cfg.alpha)]
+    alphas, stats, best = _search_alpha(
+        data, grid, s_in, weights, offsets, nbr_idx
     )
+    alpha = float(alphas[best])
+    bias, mse = stats[best]
+    partners = data.windows - alpha * offsets
     return FwfModel(
         weights=weights,
         partners=partners,
@@ -284,7 +326,7 @@ def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
         raise ParameterError(f"K must be in 1..{m.n_train}, got {K}")
     nbr_idx, _ = neighbors.query_batch(m.neighbor_index, X, K)
     raw = _functional_outputs(m.weights, m.partners, nbr_idx, X, m.sigma_input)
-    return raw - m.bias
+    return raw[0] - m.bias
 
 
 def predict(m: FwfModel, x, K: int | None = None) -> float:

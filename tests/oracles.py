@@ -3,14 +3,20 @@
 The library evaluates these formulas in vectorized form inside
 ``fwf_core.fit`` and ``fwf_core.predict_batch``; the one-window and
 double-loop versions here state each formula directly so the tests can
-check the fast paths against them.
+check the fast paths against them.  The straightforward earlier forms of
+two fast paths are kept too: the per-alpha search loop and the 3-vector
+Lorenz integrator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from fwfilter.errors import DimensionError, ParameterError
+from fwfilter.errors import (
+    DimensionError,
+    IntegrationDivergenceError,
+    ParameterError,
+)
 from fwfilter.fwf_core import G_FLOOR
 from fwfilter.kernel_stats import LagProfile, gaussian, gaussian_inverse
 
@@ -80,3 +86,57 @@ def rkhs_inner(coef_a, coef_b, profile: LagProfile) -> float:
                 )
             total += ca * cb * profile.values[lag]
     return total
+
+
+def functional_outputs(weights, partners, nbr_idx, queries, sigma_input):
+    """Mean over each query's neighbors of the functional at their partners,
+    evaluated as one block of ``B x K x L`` temporaries."""
+    s2 = 2.0 * sigma_input * sigma_input
+    d = partners[nbr_idx] - queries[:, None, :]
+    ker = np.exp(-(d * d) / s2)
+    return (ker * weights[None, None, :]).sum(axis=2).mean(axis=1)
+
+
+def alpha_search(data, grid, sigma_input, weights, offsets, nbr_idx):
+    """Per-alpha search: rebuild every partner, evaluate, score.
+
+    Returns the chosen alpha (ties to the smaller) and the training
+    ``(bias, mse)`` at each point of the sorted grid.
+    """
+    best_alpha, best_mse = None, np.inf
+    stats = []
+    for a in np.sort(grid):
+        partners = data.windows - a * offsets
+        raw = functional_outputs(
+            weights, partners, nbr_idx, data.windows, sigma_input
+        )
+        bias = float(np.mean(raw) - np.mean(data.targets))
+        mse = float(np.mean((raw - bias - data.targets) ** 2))
+        stats.append((bias, mse))
+        if mse < best_mse:
+            best_alpha, best_mse = float(a), mse
+    return best_alpha, stats
+
+
+def gen_lorenz_vector(p, n, warmup=1000, init=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """Lorenz RK4 on numpy 3-vectors; returns the sampled x component."""
+    sig, rho, beta, dt = p.sigma, p.rho, p.beta, p.step
+
+    def deriv(s):
+        x, y, z = s
+        return np.array([sig * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+    state = np.asarray(init, dtype=float).copy()
+    total = warmup + n * p.downsample
+    out = np.empty(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(total):
+            out[i] = state[0]
+            k1 = dt * deriv(state)
+            k2 = dt * deriv(state + 0.5 * k1)
+            k3 = dt * deriv(state + 0.5 * k2)
+            k4 = dt * deriv(state + k3)
+            state = state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not np.all(np.isfinite(state)):
+                raise IntegrationDivergenceError(i)
+    return out[warmup :: p.downsample][:n]

@@ -265,3 +265,10 @@ class TestKafPredict:
         m = fw.KafModel(np.ones((2, 3)), np.ones(2), 1.0, "klms")
         with pytest.raises(DimensionError):
             fw.kaf_predict(m, np.ones(4))
+
+    def test_dimension_mismatch_without_centers(self):
+        m = fw.KafModel(np.empty((0, 3)), np.empty(0), 1.0, "klms")
+        with pytest.raises(DimensionError):
+            fw.kaf_predict(m, np.ones((2, 5)))
+        with pytest.raises(DimensionError):
+            fw.kaf_predict(m, np.ones(5))

@@ -358,6 +358,19 @@ class TestBench:
         assert "sizes" in stderr
         assert not (out / "results.csv").exists()
 
+    def test_unknown_timing_method_rejected_before_running(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30, "methods": [{"name": "wiener"}],
+             "timing": {"method": "lstm", "sizes": [50, 100, 200]}},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert "lstm" in stderr
+        assert not (out / "results.csv").exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bench.json", {"dataset": "fir", "optimizer": "adam"}

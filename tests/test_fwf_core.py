@@ -303,6 +303,18 @@ class TestPredict:
         with pytest.raises(DimensionError):
             fw.predict(small_model, np.zeros((2, 10)))
 
+    def test_batch_over_several_chunks_matches_rows(self, small_model, rng):
+        X = rng.standard_normal((2 * fwf_core._ROW_CHUNK + 3, 10)) * 0.5
+        batch = fw.predict_batch(small_model, X)
+        rows = np.array([fw.predict(small_model, x) for x in X])
+        assert batch.tobytes() == rows.tobytes()
+        nbr_idx, _ = neighbors.query_batch(small_model.neighbor_index, X, 2)
+        ref = oracles.functional_outputs(
+            small_model.weights, small_model.partners, nbr_idx, X,
+            small_model.sigma_input,
+        ) - small_model.bias
+        assert batch.tobytes() == ref.tobytes()
+
     def test_row_order_invariance(self, small_data, rng):
         # shuffling training rows must not change predictions
         perm = rng.permutation(len(small_data))
@@ -323,7 +335,49 @@ class TestPredict:
         )
 
 
+@pytest.fixture(scope="module")
+def chunk_series():
+    """Standardized Mackey-Glass series long enough for two row chunks."""
+    n = 2 * fwf_core._ROW_CHUNK + 3 + 10
+    return fw.standardize(fw.gen_mackey_glass(fw.MGParams(), n))
+
+
+def search_and_oracle(data, cfg, grid):
+    s_in, _, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
+    args = (data, grid, s_in, weights, offsets, nbr_idx)
+    return fwf_core._search_alpha(*args), oracles.alpha_search(*args)
+
+
 class TestTuneAlpha:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, fwf_core._ROW_CHUNK + 3])
+    def test_curve_bitwise_equal_to_per_alpha_loop(self, chunk_series, k, extra):
+        n_rows = fwf_core._ROW_CHUNK + extra
+        data = fw.embed(fw.Series(chunk_series.values[: n_rows + 10]), 10, 1)
+        assert len(data) == n_rows
+        cfg = fw.FwfConfig(order_L=10, k_neighbors=k)
+        grid = fwf_core.DEFAULT_ALPHA_GRID
+        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+            data, cfg, grid
+        )
+        assert stats == ref_stats
+        assert float(alphas[best]) == ref_alpha
+        assert fw.tune_alpha(data, cfg) == ref_alpha
+        assert fw.fit(data, cfg).train_mse == ref_stats[best][1]
+
+    def test_duplicated_grid_entry_ties_to_first(self, small_data):
+        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
+        grid = [0.8, 0.05, 0.2, 0.4]
+        winner = fw.tune_alpha(small_data, cfg, grid=grid)
+        dup = grid + [winner]
+        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+            small_data, cfg, dup
+        )
+        assert stats == ref_stats
+        assert float(alphas[best]) == ref_alpha == winner
+        assert alphas[best + 1] == winner
+        assert stats[best] == stats[best + 1]
+
     def test_singleton_grid(self, small_data):
         cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
         assert fw.tune_alpha(small_data, cfg, grid=[0.445]) == 0.445

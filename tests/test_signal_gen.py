@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fwfilter as fw
+import oracles
 from fwfilter.errors import (
     DataError,
     DegenerateSeriesError,
@@ -173,6 +174,24 @@ class TestLorenz:
     def test_divergence_raises(self):
         with pytest.raises(IntegrationDivergenceError):
             fw.gen_lorenz(fw.LorenzParams(step=1.0), 200, warmup=0)
+
+    @pytest.mark.parametrize("downsample", [1, 5])
+    @pytest.mark.parametrize(
+        "init", [(1.0, 1.0, 1.0), (1.03, 0.98, 1.01), (-5.0, 7.5, 20.0)]
+    )
+    def test_bitwise_equal_to_vector_oracle(self, init, downsample):
+        p = fw.LorenzParams(downsample=downsample)
+        s = fw.gen_lorenz(p, 1500, warmup=500, init=init)
+        ref = oracles.gen_lorenz_vector(p, 1500, warmup=500, init=init)
+        assert s.values.tobytes() == ref.tobytes()
+
+    def test_divergence_step_matches_vector_oracle(self):
+        p = fw.LorenzParams(step=1.0)
+        with pytest.raises(IntegrationDivergenceError) as ours:
+            fw.gen_lorenz(p, 200, warmup=0)
+        with pytest.raises(IntegrationDivergenceError) as ref:
+            oracles.gen_lorenz_vector(p, 200, warmup=0)
+        assert ours.value.step_index == ref.value.step_index
 
     def test_chaotic_default_output_varies(self):
         s = fw.gen_lorenz(fw.LorenzParams(), 1000)
