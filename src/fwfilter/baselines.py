@@ -41,6 +41,8 @@ KAF_VARIANTS = ("klms", "krls", "krr")
 _KLMS_BLOCK = 1024
 # center-axis slab for cross-block kernel accumulation (memory bound)
 _KLMS_SLAB = 8192
+# query rows per kernel block in kaf_predict (memory bound)
+_PREDICT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def krr_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     return _gram_solve(data, lam, sigma, "krr")
 
 
-def kaf_predict(m: KafModel, x, chunk: int = 4096) -> float | np.ndarray:
+def kaf_predict(m: KafModel, x) -> float | np.ndarray:
     """Evaluate the kernel expansion at one window or a batch of rows."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -228,7 +230,7 @@ def kaf_predict(m: KafModel, x, chunk: int = 4096) -> float | np.ndarray:
         return 0.0 if single else out
     inv2s2 = 1.0 / (2.0 * m.sigma.sigma**2)
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        hi = min(lo + chunk, X.shape[0])
+    for lo in range(0, X.shape[0], _PREDICT_CHUNK):
+        hi = min(lo + _PREDICT_CHUNK, X.shape[0])
         out[lo:hi] = np.exp(-_sq_dists(X[lo:hi], m.centers) * inv2s2) @ m.coefficients
     return float(out[0]) if single else out

@@ -119,19 +119,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_FIT_KEYS = ("method", "order_L", "horizon", "standardize", "seed")
+# config keys every task command reads itself; the rest are hyperparameters
+_TASK_KEYS = ("order_L", "horizon", "standardize", "seed")
+
+
+def _task(cfg: dict, L: int, horizon: int):
+    """Validated ``order_L`` and ``horizon`` of a fit, tune or predict config
+    (``L`` and ``horizon`` where absent) and its remaining keys."""
+    L = evalbench.check_int("order_L", cfg.get("order_L", L), 1)
+    horizon = evalbench.check_int("horizon", cfg.get("horizon", horizon), 0)
+    return L, horizon, {k: v for k, v in cfg.items() if k not in _TASK_KEYS}
 
 
 def cmd_fit(args) -> int:
     cfg = _load_json(args.config)
-    method = cfg.get("method")
-    if method not in evalbench.METHODS:
-        raise ParameterError(
-            f"config must set method to one of {', '.join(evalbench.METHODS)}"
-        )
-    L = int(cfg.get("order_L", 10))
-    horizon = int(cfg.get("horizon", 1))
-    hyper = {k: v for k, v in cfg.items() if k not in _FIT_KEYS}
+    L, horizon, hyper = _task(cfg, 10, 1)
+    method = hyper.pop("method", None)
     fit_fn = evalbench.make_fitter(method, hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
     tic = time.perf_counter()
@@ -158,16 +161,18 @@ def cmd_predict(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     model = model_io.load_model(args.model)
     is_fwf = isinstance(model, fwf_core.FwfModel)
-    L = int(cfg.get("order_L", model.order_L))
+    # only fwf model files record their horizon
+    default_horizon = model.config.horizon if is_fwf else 1
+    L, horizon, _ = _task(cfg, model.order_L, default_horizon)
     if L != model.order_L:
         raise ParameterError(
             f"config order_L={L} does not match model order_L={model.order_L}"
         )
     k = cfg.get("k_neighbors")
-    if k is not None and not is_fwf:
-        raise ParameterError("k_neighbors applies only to fwf models")
-    # only fwf model files record their horizon
-    horizon = int(cfg.get("horizon", model.config.horizon if is_fwf else 1))
+    if k is not None:
+        if not is_fwf:
+            raise ParameterError("k_neighbors applies only to fwf models")
+        evalbench.check_int("k_neighbors", k, 1)
     data = _embed_from(args, cfg, L, horizon)
     if k is None:
         pred = model.predict(data.windows)
@@ -205,18 +210,16 @@ def cmd_bench(args) -> int:
     cfg = evalbench.ExperimentConfig(**raw)
     if timing_cfg is None:
         timing_cfg = {}
-    timing_method = timing_cfg.get("method", cfg.methods[0]["name"])
-    timing_sizes = tuple(timing_cfg.get("sizes", cfg.train_sizes))
-    timing_queries = int(timing_cfg.get("queries", 1000))
-    timing_repeats = int(timing_cfg.get("repeats", 5))
+    if not isinstance(timing_cfg, dict):
+        raise ParameterError("bench config timing must be a JSON object")
+    sweep = {"method": cfg.methods[0]["name"], "sizes": cfg.train_sizes,
+             "queries": 1000, "repeats": 5, **timing_cfg}
     timing_hyper = next(
-        (dict(m) for m in cfg.methods if m["name"] == timing_method), {}
+        (dict(m) for m in cfg.methods if m["name"] == sweep["method"]), {}
     )
     timing_hyper.pop("name", None)
     # validate the sweep before the experiment writes anything
-    evalbench.check_timing(
-        timing_method, timing_sizes, timing_repeats, timing_queries, timing_hyper
-    )
+    timing_sizes, _ = evalbench.check_timing(sweep, timing_hyper)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,10 +227,10 @@ def cmd_bench(args) -> int:
     evalbench.write_results_csv(table, out_dir / "results.csv")
     summary = evalbench.summarize(table)
     timing = evalbench.timing_scaling(
-        timing_method,
+        sweep["method"],
         timing_sizes,
-        repeats=timing_repeats,
-        queries=timing_queries,
+        repeats=sweep["repeats"],
+        queries=sweep["queries"],
         seed=cfg.seed,
         hyper=timing_hyper,
     )
@@ -242,12 +245,7 @@ def cmd_bench(args) -> int:
     effective = dataclasses.asdict(cfg)
     effective["methods"] = list(cfg.methods)
     effective["train_sizes"] = list(cfg.train_sizes)
-    effective["timing"] = {
-        "method": timing_method,
-        "sizes": list(timing_sizes),
-        "queries": timing_queries,
-        "repeats": timing_repeats,
-    }
+    effective["timing"] = {**sweep, "sizes": list(timing_sizes)}
     _echo_config(effective, out_dir)
     print(
         f"wrote {len(table.rows)} result rows "
@@ -263,14 +261,8 @@ def cmd_bench(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = _load_json(args.config)
-    L = int(cfg.get("order_L", 10))
-    horizon = int(cfg.get("horizon", 1))
-    grid = cfg.get("grid")
-    hyper = {
-        k: v
-        for k, v in cfg.items()
-        if k not in ("order_L", "horizon", "standardize", "grid", "seed")
-    }
+    L, horizon, hyper = _task(cfg, 10, 1)
+    grid = hyper.pop("grid", None)
     fwf_cfg = evalbench.fwf_config(hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
     alpha = fwf_core.tune_alpha(
@@ -296,10 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=True):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", required=out_required, help="output path")
-        p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("generate", help="produce a benchmark series CSV")
     common(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(handler=cmd_generate, config_required=True)
 
     p = sub.add_parser("fit", help="train a model on a series CSV")
@@ -317,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the cross-validated benchmark")
     common(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(handler=cmd_bench, config_required=True)
 
     p = sub.add_parser("tune", help="search the alpha grid on a series")

@@ -9,6 +9,7 @@ times scale with training-set size.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import baselines, fwf_core
 from .errors import ParameterError
+from .kernel_stats import KernelWidth
 from .signal_gen import (
     Dataset,
     LorenzParams,
@@ -36,6 +38,7 @@ __all__ = [
     "TimingTable",
     "DATASETS",
     "METHODS",
+    "check_int",
     "kfold",
     "mse",
     "make_series",
@@ -56,6 +59,23 @@ METHODS = ("fwf", "wiener", "klms", "krls", "krr")
 
 RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
 TIMING_HEADER = "method,n_train,fit_seconds,predict_us_per_query"
+
+
+def check_int(key: str, value, minimum: int) -> int:
+    """``value`` if it is an integer >= ``minimum``; bools and strings fail."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ParameterError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -85,15 +105,14 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown dataset {self.dataset!r}; valid: {', '.join(DATASETS)}"
             )
-        sizes = tuple(int(n) for n in self.train_sizes)
-        if len(sizes) == 0 or any(n < 1 for n in sizes):
-            raise ParameterError("train_sizes must be positive")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ParameterError("train_sizes must be strictly ascending")
-        if self.folds < 2:
-            raise ParameterError("folds must be >= 2")
-        if self.test_size < 1:
-            raise ParameterError("test_size must be >= 1")
+        sizes = tuple(check_int("train_sizes", n, 1) for n in self.train_sizes)
+        if len(sizes) == 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ParameterError("train_sizes must be non-empty and strictly ascending")
+        check_int("order_L", self.order_L, 1)
+        check_int("horizon", self.horizon, 0)
+        check_int("folds", self.folds, 2)
+        check_int("test_size", self.test_size, 1)
+        check_int("seed", self.seed, 0)
         methods = tuple(dict(m) for m in self.methods)
         if len(methods) == 0:
             raise ParameterError("methods must be non-empty")
@@ -155,14 +174,13 @@ class TimingTable:
         return self._slope(self.predict_seconds_per_query)
 
 
-def kfold(data: Dataset, folds: int, test_size: int, seed=None):
+def kfold(data: Dataset, folds: int, test_size: int):
     """Contiguous-block splits for time-series data.
 
     The test blocks are the last ``folds * test_size`` rows, partitioned in
     order; all folds share one training range at the start of the series,
     separated from the first test block by a gap of L + horizon rows so no
-    training window overlaps test samples.  ``seed`` is accepted for
-    interface uniformity but unused: the splits are deterministic.
+    training window overlaps test samples.
     """
     if folds < 2:
         raise ParameterError("folds must be >= 2")
@@ -251,6 +269,9 @@ def _subset(data: Dataset, n_rows: int) -> Dataset:
 
 def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
     """The filter configuration for a method entry's hyperparameters."""
+    for key in ("sigma_input", "sigma_weight"):
+        if hyper.get(key) is not None:
+            KernelWidth(_real(key, hyper[key]))
     try:
         return fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
     except TypeError as exc:
@@ -272,13 +293,19 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     if name not in METHODS:
         raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
     if name == "wiener":
-        args = {"L": order_L, "ridge": hyper.pop("ridge", "auto")}
+        ridge = hyper.pop("ridge", "auto")
+        if ridge != "auto":
+            ridge = _real("ridge", ridge)
+        args = {"L": order_L, "ridge": ridge}
     else:
-        args = {"sigma": hyper.pop("sigma", None)}
+        sigma = hyper.pop("sigma", None)
+        if sigma is not None:
+            sigma = KernelWidth(_real("sigma", sigma))
+        args = {"sigma": sigma}
         if name == "klms":
-            args["eta"] = float(hyper.pop("eta", 0.5))
+            args["eta"] = _real("eta", hyper.pop("eta", 0.5))
         else:
-            args["lam"] = float(hyper.pop("lam", 1e-6))
+            args["lam"] = _real("lam", hyper.pop("lam", 1e-6))
     if hyper:
         raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
     return lambda d: getattr(baselines, f"{name}_fit")(d, **args)
@@ -294,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     gap = cfg.order_L + cfg.horizon
     need = max(cfg.train_sizes) + gap + cfg.folds * cfg.test_size
     data = make_dataset(cfg, need)
-    splits = kfold(data, cfg.folds, cfg.test_size, cfg.seed)
+    splits = kfold(data, cfg.folds, cfg.test_size)
     if len(splits[0][0]) < max(cfg.train_sizes):
         raise ParameterError(
             f"training range has {len(splits[0][0])} rows; "
@@ -334,24 +361,29 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def check_timing(method: str, sizes, repeats: int, queries: int, hyper=None):
+def check_timing(timing: dict, hyper=None):
     """Validate a timing sweep before it runs.
 
-    Returns ``sizes`` as ints and the validated fit the sweep times; fwf
-    without an ``alpha`` is timed at the fixed alpha 0.5.
+    ``timing`` maps each of ``method``, ``sizes``, ``repeats`` and
+    ``queries`` to its value; any other key is rejected.  Returns ``sizes`` as a tuple and the validated fit the sweep
+    times; fwf without an ``alpha`` is timed at the fixed alpha 0.5.
     """
-    sizes = tuple(int(n) for n in sizes)
+    unknown = set(timing) - {"method", "sizes", "repeats", "queries"}
+    if unknown:
+        raise ParameterError(f"unknown timing fields: {sorted(unknown)}")
+    sizes = timing["sizes"]
+    if not isinstance(sizes, (list, tuple)):
+        raise ParameterError(f"sizes must be a list of integers, got {sizes!r}")
+    sizes = tuple(check_int("sizes", n, 1) for n in sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("sizes must be >= 3 ascending values")
-    if repeats < 1:
-        raise ParameterError("repeats must be >= 1")
-    if queries < 1:
-        raise ParameterError("queries must be >= 1")
+    check_int("repeats", timing["repeats"], 1)
+    check_int("queries", timing["queries"], 1)
     hyper = dict(hyper or {})
-    if method == "fwf" and "alpha" not in hyper:
+    if timing["method"] == "fwf" and "alpha" not in hyper:
         # fixed alpha: grid search would only rescale the constant factor
         hyper["alpha"] = 0.5
-    return sizes, make_fitter(method, hyper, 10, 1)
+    return sizes, make_fitter(timing["method"], hyper, 10, 1)
 
 
 def timing_scaling(
@@ -369,7 +401,10 @@ def timing_scaling(
     over ``queries`` windows.  Slopes are least-squares fits on log-log
     points, so ``sizes`` needs at least 3 values.
     """
-    sizes, fit_fn = check_timing(method, sizes, repeats, queries, hyper)
+    sizes, fit_fn = check_timing(
+        {"method": method, "sizes": sizes, "repeats": repeats, "queries": queries},
+        hyper,
+    )
     n = sizes[-1] + queries + 10  # L - 1 + horizon samples beyond the rows
     series = make_series("mackey_glass", {"downsample": 1}, seed, n)
     data = embed(standardize(series), 10, 1)

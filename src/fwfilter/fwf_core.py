@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
 from .errors import ConditioningError, DimensionError, ParameterError
@@ -134,23 +134,16 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     b = np.asarray(getattr(Pv, "values", Pv), dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise DimensionError("system dimensions do not match")
-    A_r = A + ridge * np.eye(A.shape[0])
-    try:
-        factor = cho_factor(A_r, lower=True)
-    except np.linalg.LinAlgError as exc:
-        # scipy reports the 1-based index of the first non-positive pivot
-        pivot = None
-        msg = str(exc)
-        for tok in msg.split():
-            if tok.rstrip("-th").isdigit():
-                pivot = int(tok.rstrip("-th"))
-                break
+    A_r = np.asarray_chkfinite(A + ridge * np.eye(A.shape[0]))
+    # info > 0 is the 1-based index of the first non-positive pivot
+    c, info = lapack.dpotrf(A_r, lower=1, clean=0)
+    if info > 0:
         raise ConditioningError(
-            f"correntropy system not positive definite (pivot {pivot}); "
+            f"correntropy system not positive definite (pivot {info}); "
             f"increase the ridge (current {ridge:g})",
-            pivot=pivot,
-        ) from exc
-    w = cho_solve(factor, b)
+            pivot=info,
+        )
+    w = cho_solve((c, True), b)
     resid = np.linalg.norm(A_r @ w - b)
     if resid > RESIDUAL_TOL * np.linalg.norm(b):
         raise ConditioningError(

@@ -31,8 +31,6 @@ def _config_dict(cfg: FwfConfig) -> dict:
     for key in ("sigma_input", "sigma_weight"):
         if isinstance(d[key], dict):
             d[key] = d[key]["sigma"]
-        elif isinstance(d[key], KernelWidth):
-            d[key] = d[key].sigma
     return d
 
 
@@ -98,30 +96,33 @@ def load_model(path):
         raise DataError(
             f"model format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    if kind == "fwf":
-        cfg = FwfConfig(**meta["config"])
-        windows = data["train_windows"]
-        return FwfModel(
-            weights=data["weights"],
-            partners=data["partners"],
-            train_windows=windows,
-            train_targets=data["train_targets"],
-            bias=float(meta["bias"]),
-            config=cfg,
-            sigma_input=float(meta["sigma_input"]),
-            sigma_weight=float(meta["sigma_weight"]),
-            alpha=float(meta["alpha"]),
-            ridge=float(meta["ridge"]),
-            train_mse=float(meta["train_mse"]),
-            neighbor_index=neighbors.build(windows),
-        )
-    if kind == "wiener":
-        return WienerModel(data["weights"])
-    if kind in ("klms", "krls", "krr"):
-        return KafModel(
-            data["centers"],
-            data["coefficients"],
-            KernelWidth(float(meta["sigma"])),
-            kind,
-        )
+    try:
+        if kind == "fwf":
+            cfg = FwfConfig(**meta["config"])
+            windows = data["train_windows"]
+            return FwfModel(
+                weights=data["weights"],
+                partners=data["partners"],
+                train_windows=windows,
+                train_targets=data["train_targets"],
+                bias=float(meta["bias"]),
+                config=cfg,
+                sigma_input=float(meta["sigma_input"]),
+                sigma_weight=float(meta["sigma_weight"]),
+                alpha=float(meta["alpha"]),
+                ridge=float(meta["ridge"]),
+                train_mse=float(meta["train_mse"]),
+                neighbor_index=neighbors.build(windows),
+            )
+        if kind == "wiener":
+            return WienerModel(data["weights"])
+        if kind in ("klms", "krls", "krr"):
+            return KafModel(
+                data["centers"],
+                data["coefficients"],
+                KernelWidth(float(meta["sigma"])),
+                kind,
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model file {path}: {exc}") from exc
     raise DataError(f"unknown model kind {kind!r} in {path}")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DataError,
@@ -249,7 +248,7 @@ def gen_fir_process(coeffs, n: int, noise_seed: int) -> tuple[Series, Series]:
         raise ParameterError("n must be >= 1")
     rng = np.random.default_rng(noise_seed)
     x = rng.standard_normal(n)
-    z = lfilter(coeffs, [1.0], x)
+    z = np.convolve(coeffs, x)[:n]
     return Series(x), Series(z)
 
 

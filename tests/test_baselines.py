@@ -251,15 +251,15 @@ class TestKafPredict:
         )
         assert fw.kaf_predict(m, x) == pytest.approx(ref, rel=1e-14)
 
-    def test_chunking_is_invisible(self, rng):
+    def test_chunking_is_invisible(self, rng, monkeypatch):
         m = fw.KafModel(
             rng.standard_normal((20, 3)), rng.standard_normal(20), 1.0, "krr"
         )
         X = rng.standard_normal((11, 3))
+        whole = fw.kaf_predict(m, X)
+        monkeypatch.setattr(baselines, "_PREDICT_CHUNK", 3)
         # chunk shape changes the BLAS path, so equality is to rounding
-        np.testing.assert_allclose(
-            fw.kaf_predict(m, X, chunk=3), fw.kaf_predict(m, X), rtol=1e-14
-        )
+        np.testing.assert_allclose(fw.kaf_predict(m, X), whole, rtol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         m = fw.KafModel(np.ones((2, 3)), np.ones(2), 1.0, "klms")

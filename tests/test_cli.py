@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,37 @@ class TestFit:
         assert code == 2
         assert "momentum" in stderr
 
+    @pytest.mark.parametrize(
+        "task", [{"order_L": "abc"}, {"horizon": 1.5}, {"horizon": "2"},
+                 {"order_L": True}],
+    )
+    def test_non_integer_task_keys_rejected(self, tmp_path, capsys, mg_csv, task):
+        cfg = write_json(tmp_path / "fit.json", {"method": "fwf", **task})
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert code == 2
+        assert next(iter(task)) in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "hyper", [{"method": "klms", "eta": "x"}, {"method": "klms", "sigma": "x"},
+                  {"method": "krls", "lam": "x"}, {"method": "wiener", "ridge": "x"},
+                  {"method": "fwf", "sigma_input": "x"}],
+    )
+    def test_non_numeric_hyperparameter_rejected(
+        self, tmp_path, capsys, mg_csv, hyper
+    ):
+        cfg = write_json(tmp_path / "fit.json", {"order_L": 5, **hyper})
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert code == 2
+        assert list(hyper)[1] in stderr
+        assert not out.exists()
+
 
 class TestPredict:
     def fit_model(self, tmp_path, capsys, mg_csv):
@@ -235,6 +270,19 @@ class TestPredict:
         )
         assert code == 2
         assert "order_L" in stderr
+
+    @pytest.mark.parametrize("task", [{"horizon": 1.5}, {"k_neighbors": "x"}])
+    def test_non_integer_keys_rejected(self, tmp_path, capsys, mg_csv, task):
+        model_path = self.fit_model(tmp_path, capsys, mg_csv)
+        cfg = write_json(tmp_path / "pred.json", task)
+        out = tmp_path / "p.csv"
+        code, _, stderr = run(
+            capsys, "predict", "--config", cfg, "--model", str(model_path),
+            "--series", mg_csv, "--out", str(out),
+        )
+        assert code == 2
+        assert next(iter(task)) in stderr
+        assert not out.exists()
 
     def test_series_too_short(self, tmp_path, capsys, mg_csv):
         model_path = self.fit_model(tmp_path, capsys, mg_csv)
@@ -371,6 +419,23 @@ class TestBench:
         assert "lstm" in stderr
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "timing", [{"bogus": 1}, {"repeats": "x"}, {"queries": 2.5},
+                   {"sizes": [50, "100", 200]}],
+    )
+    def test_bad_timing_block_rejected_before_running(self, tmp_path, capsys, timing):
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30, "methods": [{"name": "wiener"}],
+             "timing": {"sizes": [50, 100, 200], **timing}},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert next(iter(timing)) in stderr
+        assert not (out / "results.csv").exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bench.json", {"dataset": "fir", "optimizer": "adam"}
@@ -404,3 +469,20 @@ class TestTune:
         )
         assert code == 0
         assert json.loads(out.read_text())["alpha"] in (0.2, 0.4)
+
+
+def test_import_skips_unused_scipy_subpackages():
+    # fwfilter calls scipy.linalg and scipy.spatial only
+    unused = {
+        "scipy." + m
+        for m in ("signal", "stats", "optimize", "interpolate", "integrate", "fft",
+                  "ndimage")
+    }
+    # a fresh interpreter on the same fwfilter the tests import
+    env = {**os.environ, "PYTHONPATH": str(Path(fw.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fwfilter.cli; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert "fwfilter.cli" in out.stdout.split()
+    assert unused.isdisjoint(out.stdout.split())

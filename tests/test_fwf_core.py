@@ -88,6 +88,11 @@ class TestSolveWeights:
         assert "ridge" in str(exc.value)
         assert exc.value.exit_code == 3
 
+    def test_non_finite_system_raises(self):
+        V = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            fw.solve_weights(V, np.array([1.0, 1.0]), 0.0)
+
     def test_accepts_profile_objects(self, rng):
         x = rng.standard_normal(200)
         V = fw.toeplitz(fw.autocorrentropy(x, 5, 1.0))

@@ -119,6 +119,22 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="kind"):
             fw.load_model(path)
 
+    @pytest.mark.parametrize("corrupt", ["config_key", "missing_bias"])
+    def test_malformed_fwf_meta(self, fir_data, tmp_path, corrupt):
+        cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=0.4, horizon=0)
+        path = tmp_path / "model.npz"
+        fw.save_model(fw.fit(fir_data, cfg), path)
+        with np.load(path) as f:
+            data = {k: f[k] for k in f.files}
+        meta = json.loads(str(data["meta"]))
+        if corrupt == "config_key":
+            meta["config"]["momentum"] = 1.0
+        else:
+            del meta["bias"]
+        np.savez(path, **{**data, "meta": json.dumps(meta)})
+        with pytest.raises(DataError, match="malformed"):
+            fw.load_model(path)
+
     def test_unserializable_object(self, tmp_path):
         with pytest.raises(DataError):
             fw.save_model({"weights": [1.0]}, tmp_path / "x.npz")

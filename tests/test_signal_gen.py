@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import fwfilter as fw
 import oracles
@@ -214,6 +215,15 @@ class TestFirProcess:
         x, z = fw.gen_fir_process(coeffs, 200, noise_seed=11)
         ref = np.convolve(x.values, coeffs)[:200]
         np.testing.assert_allclose(z.values, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("taps", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_lfilter(self, taps, seed):
+        coeffs = np.random.default_rng(100 + seed).standard_normal(taps)
+        for n in (max(taps - 1, 1), 500):  # n < taps where taps > 1
+            x, z = fw.gen_fir_process(coeffs, n, noise_seed=seed)
+            ref = lfilter(coeffs, [1.0], x.values)
+            assert z.values.tobytes() == ref.tobytes()
 
     def test_least_squares_recovers_coefficients(self):
         coeffs = [0.3, -0.2, 0.1]
