@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConditioningError, DimensionError, ParameterError
+from .errors import ConditioningError, DataError, DimensionError, ParameterError
 from .fwf_core import solve_weights
 from .kernel_stats import (
     KernelWidth,
@@ -45,11 +45,20 @@ _KLMS_SLAB = 8192
 _PREDICT_CHUNK = 4096
 
 
+def _finite_windows(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise DataError("query windows must be finite")
+
+
 @dataclass(frozen=True)
 class WienerModel:
-    """Linear filter weights; output is the inner product with a window."""
+    """Linear filter weights; output is the inner product with a window,
+    fitted for targets ``horizon`` samples ahead of its newest sample."""
 
     weights: np.ndarray
+    horizon: int = 1
+
+    kind = "wiener"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -69,12 +78,14 @@ class WienerModel:
 
 @dataclass(frozen=True)
 class KafModel:
-    """Kernel expansion f(x) = sum_i coefficients[i] * G_sigma(centers[i], x)."""
+    """Kernel expansion f(x) = sum_i coefficients[i] * G_sigma(centers[i], x),
+    fitted for targets ``horizon`` samples ahead of the newest window sample."""
 
     centers: np.ndarray
     coefficients: np.ndarray
     sigma: KernelWidth
     variant: str
+    horizon: int = 1
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.centers, dtype=float)
@@ -91,6 +102,10 @@ class KafModel:
         object.__setattr__(self, "coefficients", a)
 
     @property
+    def kind(self) -> str:
+        return self.variant
+
+    @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
 
@@ -102,16 +117,17 @@ class KafModel:
         return kaf_predict(self, X)
 
 
-def _fit_arrays(data) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Aligned (input, desired) sample arrays from a Dataset or bare series.
+def _fit_arrays(data) -> tuple[np.ndarray, np.ndarray, int | None, int]:
+    """Aligned (input, desired) sample arrays, order and horizon from a
+    Dataset or bare series.
 
-    A bare series is its own desired signal (identity system)."""
+    A bare series is its own desired signal (identity system, horizon 0)."""
     if isinstance(data, Dataset):
-        return data.source_x, data.source_z, data.order_L
+        return data.source_x, data.source_z, data.order_L, data.horizon
     x = np.asarray(getattr(data, "values", data), dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise DimensionError("series input must be a non-empty 1-d array")
-    return x, x, None
+    return x, x, None, 0
 
 
 def wiener_fit(data, L: int, ridge: float | str = "auto") -> WienerModel:
@@ -121,7 +137,7 @@ def wiener_fit(data, L: int, ridge: float | str = "auto") -> WienerModel:
     """
     if not (isinstance(L, int) and L >= 1):
         raise ParameterError("L must be a positive integer")
-    x, z, data_L = _fit_arrays(data)
+    x, z, data_L, horizon = _fit_arrays(data)
     if data_L is not None and data_L != L:
         raise DimensionError(f"dataset order {data_L} != requested order {L}")
     if x.size < L:
@@ -133,21 +149,18 @@ def wiener_fit(data, L: int, ridge: float | str = "auto") -> WienerModel:
 
         ridge = auto_ridge(R)
     w = solve_weights(R, P, float(ridge))
-    return WienerModel(w)
+    return WienerModel(w, horizon)
 
 
 def wiener_predict(m: WienerModel, x) -> float | np.ndarray:
     """Inner product of the weights with one window or a batch of rows."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != m.order_L:
-            raise DimensionError("window length does not match filter order")
-        return float(np.dot(m.weights, x))
-    if x.ndim == 2:
-        if x.shape[1] != m.order_L:
-            raise DimensionError("window length does not match filter order")
-        return x @ m.weights
-    raise DimensionError("expected a window or a B x L batch")
+    if x.ndim not in (1, 2):
+        raise DimensionError("expected a window or a B x L batch")
+    if x.shape[-1] != m.order_L:
+        raise DimensionError("window length does not match filter order")
+    _finite_windows(x)
+    return float(np.dot(m.weights, x)) if x.ndim == 1 else x @ m.weights
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,7 +194,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
         for r in range(hi - lo):
             pred = carry[r] + float(np.dot(Kb[r, :r], alpha[lo : lo + r]))
             alpha[lo + r] = eta * (z[lo + r] - pred)
-    return KafModel(X, alpha, KernelWidth(sig), "klms")
+    return KafModel(X, alpha, KernelWidth(sig), "klms", data.horizon)
 
 
 def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
@@ -199,7 +212,7 @@ def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
             f"regularized Gram matrix not positive definite (lambda={lam:g})"
         ) from exc
     alpha = cho_solve(factor, z)
-    return KafModel(X, alpha, KernelWidth(sig), variant)
+    return KafModel(X, alpha, KernelWidth(sig), variant, data.horizon)
 
 
 def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
@@ -225,9 +238,7 @@ def kaf_predict(m: KafModel, x) -> float | np.ndarray:
         raise DimensionError("expected a window or a B x L batch")
     if X.shape[1] != m.centers.shape[1]:
         raise DimensionError("window length does not match model centers")
-    if m.n_centers == 0:
-        out = np.zeros(X.shape[0])
-        return 0.0 if single else out
+    _finite_windows(X)
     inv2s2 = 1.0 / (2.0 * m.sigma.sigma**2)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _PREDICT_CHUNK):

@@ -125,9 +125,14 @@ _TASK_KEYS = ("order_L", "horizon", "standardize", "seed")
 
 def _task(cfg: dict, L: int, horizon: int):
     """Validated ``order_L`` and ``horizon`` of a fit, tune or predict config
-    (``L`` and ``horizon`` where absent) and its remaining keys."""
+    (``L`` and ``horizon`` where absent) and its remaining keys; checks that
+    ``standardize`` is a bool."""
     L = evalbench.check_int("order_L", cfg.get("order_L", L), 1)
     horizon = evalbench.check_int("horizon", cfg.get("horizon", horizon), 0)
+    if not isinstance(cfg.get("standardize", True), bool):
+        raise ParameterError(
+            f"standardize must be true or false, got {cfg['standardize']!r}"
+        )
     return L, horizon, {k: v for k, v in cfg.items() if k not in _TASK_KEYS}
 
 
@@ -160,17 +165,14 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     model = model_io.load_model(args.model)
-    is_fwf = isinstance(model, fwf_core.FwfModel)
-    # only fwf model files record their horizon
-    default_horizon = model.config.horizon if is_fwf else 1
-    L, horizon, _ = _task(cfg, model.order_L, default_horizon)
+    L, horizon, _ = _task(cfg, model.order_L, model.horizon)
     if L != model.order_L:
         raise ParameterError(
             f"config order_L={L} does not match model order_L={model.order_L}"
         )
     k = cfg.get("k_neighbors")
     if k is not None:
-        if not is_fwf:
+        if model.kind != "fwf":
             raise ParameterError("k_neighbors applies only to fwf models")
         evalbench.check_int("k_neighbors", k, 1)
     data = _embed_from(args, cfg, L, horizon)
@@ -203,10 +205,6 @@ def cmd_bench(args) -> int:
         raise ParameterError("bench config must set dataset")
     if args.seed is not None:
         raw["seed"] = args.seed
-    if "methods" in raw:
-        raw["methods"] = tuple(raw["methods"])
-    if "train_sizes" in raw:
-        raw["train_sizes"] = tuple(raw["train_sizes"])
     cfg = evalbench.ExperimentConfig(**raw)
     if timing_cfg is None:
         timing_cfg = {}
@@ -242,11 +240,8 @@ def cmd_bench(args) -> int:
         "predict_slope": timing.predict_slope(),
     }
     evalbench.write_summary_json(summary, out_dir / "summary.json")
-    effective = dataclasses.asdict(cfg)
-    effective["methods"] = list(cfg.methods)
-    effective["train_sizes"] = list(cfg.train_sizes)
-    effective["timing"] = {**sweep, "sizes": list(timing_sizes)}
-    _echo_config(effective, out_dir)
+    timing_echo = {**sweep, "sizes": timing_sizes}
+    _echo_config({**dataclasses.asdict(cfg), "timing": timing_echo}, out_dir)
     print(
         f"wrote {len(table.rows)} result rows "
         f"({len(table.errors)} errored cells) to {out_dir / 'results.csv'}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, fwf_core
-from .errors import ParameterError
+from .errors import FilterError, ParameterError
 from .kernel_stats import KernelWidth
 from .signal_gen import (
     Dataset,
@@ -72,6 +72,17 @@ def check_int(key: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _sizes(key: str, values, least: int) -> tuple[int, ...]:
+    """``values`` as a tuple if it is a list of at least ``least`` positive
+    integers in strictly ascending order."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"{key} must be a list of integers, got {values!r}")
+    sizes = tuple(check_int(key, n, 1) for n in values)
+    if len(sizes) < least or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"{key} must be >= {least} strictly ascending values")
+    return sizes
+
+
 def _real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{key} must be a number, got {value!r}")
@@ -105,14 +116,19 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown dataset {self.dataset!r}; valid: {', '.join(DATASETS)}"
             )
-        sizes = tuple(check_int("train_sizes", n, 1) for n in self.train_sizes)
-        if len(sizes) == 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ParameterError("train_sizes must be non-empty and strictly ascending")
+        sizes = _sizes("train_sizes", self.train_sizes, 1)
         check_int("order_L", self.order_L, 1)
         check_int("horizon", self.horizon, 0)
         check_int("folds", self.folds, 2)
         check_int("test_size", self.test_size, 1)
         check_int("seed", self.seed, 0)
+        if not (
+            isinstance(self.methods, (list, tuple))
+            and all(isinstance(m, dict) for m in self.methods)
+        ):
+            raise ParameterError(
+                f"methods must be a list of JSON objects, got {self.methods!r}"
+            )
         methods = tuple(dict(m) for m in self.methods)
         if len(methods) == 0:
             raise ParameterError("methods must be non-empty")
@@ -315,8 +331,9 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Fit every configured method at every training size, score per fold.
 
     Each method is fitted once per training size on the first N training
-    rows and evaluated on every fold's test block.  A failing cell is
-    recorded in the error list and the run continues.
+    rows and evaluated on every fold's test block.  A cell whose fit or
+    predict raises a :class:`FilterError` is recorded in the error list and
+    the run continues; any other exception propagates.
     """
     gap = cfg.order_L + cfg.horizon
     need = max(cfg.train_sizes) + gap + cfg.folds * cfg.test_size
@@ -337,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
                 tic = time.perf_counter()
                 model = fit_fn(sub)
                 fit_seconds = time.perf_counter() - tic
-            except Exception as exc:  # record and move on
+            except FilterError as exc:  # record and move on
                 for f in range(cfg.folds):
                     table.errors.append((name, n_train, f, str(exc)))
                 continue
@@ -356,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
                             predict_seconds_per_query=per_query,
                         )
                     )
-                except Exception as exc:
+                except FilterError as exc:
                     table.errors.append((name, n_train, f, str(exc)))
     return table
 
@@ -371,12 +388,7 @@ def check_timing(timing: dict, hyper=None):
     unknown = set(timing) - {"method", "sizes", "repeats", "queries"}
     if unknown:
         raise ParameterError(f"unknown timing fields: {sorted(unknown)}")
-    sizes = timing["sizes"]
-    if not isinstance(sizes, (list, tuple)):
-        raise ParameterError(f"sizes must be a list of integers, got {sizes!r}")
-    sizes = tuple(check_int("sizes", n, 1) for n in sizes)
-    if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("sizes must be >= 3 ascending values")
+    sizes = _sizes("sizes", timing["sizes"], 3)
     check_int("repeats", timing["repeats"], 1)
     check_int("queries", timing["queries"], 1)
     hyper = dict(hyper or {})

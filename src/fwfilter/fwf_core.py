@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
-from .errors import ConditioningError, DimensionError, ParameterError
+from .errors import ConditioningError, DataError, DimensionError, ParameterError
 from .kernel_stats import (
     KernelWidth,
     auto_ridge,
@@ -111,6 +111,8 @@ class FwfModel:
     train_mse: float
     neighbor_index: neighbors.NeighborIndex
 
+    kind = "fwf"
+
     @property
     def n_train(self) -> int:
         return self.train_windows.shape[0]
@@ -118,6 +120,10 @@ class FwfModel:
     @property
     def order_L(self) -> int:
         return self.config.order_L
+
+    @property
+    def horizon(self) -> int:
+        return self.config.horizon
 
     def predict(self, X) -> np.ndarray:
         """Batch prediction with the fitted K; see :func:`predict_batch`."""
@@ -213,9 +219,10 @@ def _prepare(data: Dataset, cfg: FwfConfig):
     """Everything in the pipeline that does not depend on alpha."""
     if len(data) < 1:
         raise ParameterError("dataset must be non-empty")
-    if data.order_L != cfg.order_L:
+    if (data.order_L, data.horizon) != (cfg.order_L, cfg.horizon):
         raise DimensionError(
-            f"dataset order {data.order_L} != config order {cfg.order_L}"
+            f"dataset order_L/horizon {data.order_L}/{data.horizon} != "
+            f"config {cfg.order_L}/{cfg.horizon}"
         )
     x = data.source_x
     s_in = resolve_width(cfg.sigma_input, x)
@@ -313,6 +320,8 @@ def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != m.train_windows.shape[1]:
         raise DimensionError("query windows must be B x L matching the model")
+    if not np.isfinite(X).all():
+        raise DataError("query windows must be finite")
     if K is None:
         K = min(m.config.k_neighbors, m.n_train)
     if not (1 <= K <= m.n_train):

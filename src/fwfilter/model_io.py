@@ -2,79 +2,62 @@
 
 All fitted models share one npz envelope: a format version, a ``kind`` tag
 (``fwf``, ``wiener``, or a kernel-adaptive variant), the float64 arrays of
-the model, and a JSON blob for scalar configuration.  Round-trips are
-bitwise: a reloaded model reproduces every prediction of the original.
-The neighbor index of a reloaded filter is rebuilt from the stored training
-windows.
+the model, and a JSON blob for its scalars.  ``_FIELDS`` names each kind's
+fields once; saving and loading both follow it.  Round-trips are bitwise: a
+reloaded model reproduces every prediction of the original.  The neighbor
+index of a reloaded filter is rebuilt from the stored training windows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 
 import numpy as np
 
 from . import neighbors
-from .baselines import KafModel, WienerModel
+from .baselines import KAF_VARIANTS, KafModel, WienerModel
 from .errors import DataError
 from .fwf_core import FwfConfig, FwfModel
-from .kernel_stats import KernelWidth
 
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 
+# each kind's array members and meta scalars, in file order
+_FIELDS = {
+    "fwf": (("weights", "partners", "train_windows", "train_targets"),
+            ("config", "sigma_input", "sigma_weight", "alpha", "ridge", "bias",
+             "train_mse")),
+    "wiener": (("weights",), ("horizon",)),
+    **dict.fromkeys(KAF_VARIANTS, (("centers", "coefficients"), ("sigma", "horizon"))),
+}
 
-def _config_dict(cfg: FwfConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for key in ("sigma_input", "sigma_weight"):
-        if isinstance(d[key], dict):
-            d[key] = d[key]["sigma"]
-    return d
+
+def _to_json(value):
+    """A meta scalar in JSON form: a config as a dict, a width as its float."""
+    if isinstance(value, FwfConfig):
+        d = dataclasses.asdict(value)
+        return {k: v["sigma"] if isinstance(v, dict) else v for k, v in d.items()}
+    return getattr(value, "sigma", value)
+
+
+def _from_json(name: str, value):
+    if name == "config":
+        return FwfConfig(**value)
+    return operator.index(value) if name == "horizon" else float(value)
 
 
 def save_model(model, path) -> None:
     """Write a fitted model to ``path`` in the npz envelope."""
-    if isinstance(model, FwfModel):
-        meta = {
-            "config": _config_dict(model.config),
-            "sigma_input": model.sigma_input,
-            "sigma_weight": model.sigma_weight,
-            "alpha": model.alpha,
-            "ridge": model.ridge,
-            "bias": model.bias,
-            "train_mse": model.train_mse,
-        }
-        np.savez(
-            path,
-            format_version=FORMAT_VERSION,
-            kind="fwf",
-            weights=model.weights,
-            partners=model.partners,
-            train_windows=model.train_windows,
-            train_targets=model.train_targets,
-            meta=json.dumps(meta),
-        )
-    elif isinstance(model, WienerModel):
-        np.savez(
-            path,
-            format_version=FORMAT_VERSION,
-            kind="wiener",
-            weights=model.weights,
-            meta=json.dumps({}),
-        )
-    elif isinstance(model, KafModel):
-        np.savez(
-            path,
-            format_version=FORMAT_VERSION,
-            kind=model.variant,
-            centers=model.centers,
-            coefficients=model.coefficients,
-            meta=json.dumps({"sigma": model.sigma.sigma}),
-        )
-    else:
+    kind = getattr(model, "kind", None)
+    if not (isinstance(kind, str) and kind in _FIELDS):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
+    arrays, scalars = _FIELDS[kind]
+    meta = {k: _to_json(getattr(model, k)) for k in scalars}
+    np.savez(path, format_version=FORMAT_VERSION, kind=kind,
+             **{k: getattr(model, k) for k in arrays}, meta=json.dumps(meta))
 
 
 def load_model(path):
@@ -96,33 +79,18 @@ def load_model(path):
         raise DataError(
             f"model format version {version} not supported (expected {FORMAT_VERSION})"
         )
+    if kind not in _FIELDS:
+        raise DataError(f"unknown model kind {kind!r} in {path}")
+    arrays, scalars = _FIELDS[kind]
     try:
+        meta = {"horizon": 1, **meta}  # baseline files from before it was recorded
+        fields = {k: data[k] for k in arrays}
+        fields.update((k, _from_json(k, meta[k])) for k in scalars)
         if kind == "fwf":
-            cfg = FwfConfig(**meta["config"])
-            windows = data["train_windows"]
-            return FwfModel(
-                weights=data["weights"],
-                partners=data["partners"],
-                train_windows=windows,
-                train_targets=data["train_targets"],
-                bias=float(meta["bias"]),
-                config=cfg,
-                sigma_input=float(meta["sigma_input"]),
-                sigma_weight=float(meta["sigma_weight"]),
-                alpha=float(meta["alpha"]),
-                ridge=float(meta["ridge"]),
-                train_mse=float(meta["train_mse"]),
-                neighbor_index=neighbors.build(windows),
-            )
+            index = neighbors.build(fields["train_windows"])
+            return FwfModel(**fields, neighbor_index=index)
         if kind == "wiener":
-            return WienerModel(data["weights"])
-        if kind in ("klms", "krls", "krr"):
-            return KafModel(
-                data["centers"],
-                data["coefficients"],
-                KernelWidth(float(meta["sigma"])),
-                kind,
-            )
+            return WienerModel(**fields)
+        return KafModel(**fields, variant=kind)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    raise DataError(f"unknown model kind {kind!r} in {path}")

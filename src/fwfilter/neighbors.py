@@ -110,14 +110,10 @@ def query_batch(idx: NeighborIndex, queries, K: int):
     ii = ii.reshape(len(queries), k_probe)
     dist = _ref_distances(idx.points[ii], queries[:, None, :])
 
-    # lexicographic (distance, index) order: pre-sort by index, then a
-    # stable sort by the recomputed distance keeps tied groups index-ascending
-    by_idx = np.argsort(ii, axis=1, kind="stable")
-    ii = np.take_along_axis(ii, by_idx, axis=1)
-    dist = np.take_along_axis(dist, by_idx, axis=1)
-    by_dist = np.argsort(dist, axis=1, kind="stable")
-    ii = np.take_along_axis(ii, by_dist, axis=1)
-    dist = np.take_along_axis(dist, by_dist, axis=1)
+    # lexicographic (distance, index) order, so tied groups are index-ascending
+    order = np.lexsort((ii, dist))
+    ii = np.take_along_axis(ii, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
 
     out_i = ii[:, :K].copy()
     out_d = dist[:, :K].copy()

@@ -190,6 +190,29 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, out_name",
+        [("fit", "m.npz"), ("tune", "alpha.json"), ("predict", "p.csv")],
+    )
+    def test_non_bool_standardize_rejected(
+        self, tmp_path, capsys, mg_csv, command, out_name
+    ):
+        cfg = {"standardize": "false"}
+        args = [command, "--series", mg_csv]
+        if command == "fit":
+            cfg["method"] = "wiener"
+        if command == "predict":
+            model_path = TestPredict().fit_model(tmp_path, capsys, mg_csv)
+            args += ["--model", str(model_path)]
+        out = tmp_path / out_name
+        code, _, stderr = run(
+            capsys, *args, "--config", write_json(tmp_path / "c.json", cfg),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "standardize" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "hyper", [{"method": "klms", "eta": "x"}, {"method": "klms", "sigma": "x"},
                   {"method": "krls", "lam": "x"}, {"method": "wiener", "ridge": "x"},
                   {"method": "fwf", "sigma_input": "x"}],
@@ -237,6 +260,36 @@ class TestPredict:
         )
         model = fw.load_model(model_path)
         assert reported == pytest.approx(model.train_mse, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["wiener", "krr"])
+    def test_baseline_model_supplies_its_horizon(self, tmp_path, capsys, method):
+        # a model fitted at horizon 0 is scored at horizon 0 by default
+        x, z = fw.gen_fir_process([0.3, -0.2, 0.1], 2000, noise_seed=3)
+        xp, zp = tmp_path / "x.csv", tmp_path / "z.csv"
+        fw.write_series_csv(x, xp)
+        fw.write_series_csv(z, zp)
+        fit_cfg = write_json(
+            tmp_path / "fit.json",
+            {"method": method, "order_L": 3, "horizon": 0, "standardize": False},
+        )
+        model_path = tmp_path / "m.npz"
+        code, stdout, _ = run(
+            capsys, "fit", "--config", fit_cfg, "--series", str(xp),
+            "--desired", str(zp), "--out", str(model_path),
+        )
+        assert code == 0
+        train_line = [l for l in stdout.splitlines() if l.startswith("training MSE")]
+        train_mse = float(train_line[0].split()[2])
+        pred_cfg = write_json(tmp_path / "pred.json", {"standardize": False})
+        code, stdout, _ = run(
+            capsys, "predict", "--config", pred_cfg, "--model", str(model_path),
+            "--series", str(xp), "--desired", str(zp),
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 0
+        assert f"over {2000 - 3 + 1} windows" in stdout
+        test_line = [l for l in stdout.splitlines() if l.startswith("test MSE")]
+        assert float(test_line[0].split()[2]) == train_mse
 
     def test_output_schema(self, tmp_path, capsys, mg_csv):
         model_path = self.fit_model(tmp_path, capsys, mg_csv)
@@ -434,6 +487,21 @@ class TestBench:
         code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
         assert code == 2
         assert next(iter(timing)) in stderr
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"train_sizes": 5}, {"methods": [1]}, {"methods": "fwf"}],
+    )
+    def test_bad_container_types_rejected(self, tmp_path, capsys, bad):
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30, "methods": [{"name": "wiener"}], **bad},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert next(iter(bad)) in stderr
         assert not (out / "results.csv").exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import fwfilter as fw
 from fwfilter import evalbench as eb
-from fwfilter.errors import ParameterError
+from fwfilter.errors import DataError, ParameterError
 
 
 def toy_dataset(n_samples=30, L=2, horizon=1, seed=0):
@@ -45,6 +45,9 @@ class TestExperimentConfig:
             {"order_L": "abc"},
             {"horizon": 1.5},
             {"seed": "x"},
+            {"train_sizes": 5},
+            {"methods": [1]},
+            {"methods": "fwf"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -250,6 +253,19 @@ class TestRunExperiment:
         assert {c["method"] for c in summary["results"]} == {"wiener"}
         assert len(summary["errors"]) == 2
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only toolkit errors are recorded as failed cells
+        def broken_fit(data, **kwargs):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(eb.baselines, "wiener_fit", broken_fit)
+        cfg = eb.ExperimentConfig(
+            dataset="mackey_glass", train_sizes=(100,), folds=2, test_size=30,
+            methods=({"name": "wiener"},),
+        )
+        with pytest.raises(TypeError, match="broken fit"):
+            eb.run_experiment(cfg)
+
     def test_linear_method_hits_noise_floor_on_linear_data(self):
         # the FIR task is noise-free, so test error is pure estimation error
         cfg = eb.ExperimentConfig(
@@ -335,6 +351,22 @@ class TestMakeFitter:
         names = json.loads(out.stdout)
         assert "baselines.krls_fit" in names
         assert "baselines.kaf_predict" in names
+
+
+@pytest.mark.parametrize("name", eb.METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_window_raises(name, bad):
+    data = toy_dataset(n_samples=60, L=3, horizon=1)
+    hyper = {"fwf": {"sigma_input": 0.8, "alpha": 0.4}, "wiener": {}}
+    model = eb.make_fitter(name, hyper.get(name, {"sigma": 0.7}), 3, 1)(data)
+    X = data.windows[:5].copy()
+    X[3, 1] = bad
+    # fwf's single-window entry point is the module-level predict
+    predict_one = model.predict if name != "fwf" else lambda x: fw.predict(model, x)
+    with pytest.raises(DataError, match="finite"):
+        model.predict(X)
+    with pytest.raises(DataError, match="finite"):
+        predict_one(X[3])
 
 
 class TestTimingScaling:

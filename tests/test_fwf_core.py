@@ -227,6 +227,16 @@ class TestFit:
         with pytest.raises(DimensionError):
             fw.fit(small_data, fw.FwfConfig(order_L=9, sigma_input=0.5, alpha=0.3))
 
+    def test_horizon_mismatch(self, small_data):
+        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=0.3, horizon=2)
+        with pytest.raises(DimensionError, match="horizon"):
+            fw.fit(small_data, cfg)
+        with pytest.raises(DimensionError, match="horizon"):
+            fw.tune_alpha(small_data, cfg, [0.3])
+
+    def test_model_records_config_horizon(self, small_data, small_model):
+        assert small_model.horizon == small_data.horizon == 1
+
     def test_training_accuracy_on_benchmark(self, mg_data):
         m = fw.fit(mg_data, fw.FwfConfig(order_L=10, sigma_input=0.5))
         assert m.train_mse < 0.05

@@ -94,6 +94,63 @@ class TestProtocolRoundtrip:
             assert MODULE_PREDICT[name](model, X).tobytes() == expected
 
 
+# member names and meta keys of each kind, in file order
+LAYOUT = {
+    "fwf": (["weights", "partners", "train_windows", "train_targets"],
+            ["config", "sigma_input", "sigma_weight", "alpha", "ridge", "bias",
+             "train_mse"]),
+    "wiener": (["weights"], ["horizon"]),
+    **{k: (["centers", "coefficients"], ["sigma", "horizon"])
+       for k in ("klms", "krls", "krr")},
+}
+
+
+def read_npz(path):
+    with np.load(path) as f:
+        return {k: f[k] for k in f.files}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("name", evalbench.METHODS)
+    def test_layout(self, fir_data, tmp_path, name):
+        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        data = read_npz(path)
+        arrays, scalars = LAYOUT[name]
+        assert list(data) == ["format_version", "kind", *arrays, "meta"]
+        assert int(data["format_version"]) == FORMAT_VERSION == 1
+        assert str(data["kind"]) == name
+        assert list(json.loads(str(data["meta"]))) == scalars
+
+    @pytest.mark.parametrize("name", evalbench.METHODS)
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_horizon_survives(self, tmp_path, name, horizon):
+        x, z = fw.gen_fir_process([0.4, 0.2], 200, noise_seed=5)
+        data = fw.embed_pair(x, z, 3, horizon)
+        hyper = HYPER.get(name, {"sigma": 0.7})
+        m = evalbench.make_fitter(name, hyper, 3, horizon)(data)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        assert m.horizon == fw.load_model(path).horizon == horizon
+
+    @pytest.mark.parametrize("name", ["wiener", "klms"])
+    def test_baseline_file_without_horizon_serves_horizon_1(
+        self, fir_data, tmp_path, rng, name
+    ):
+        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        data = read_npz(path)
+        meta = json.loads(str(data["meta"]))
+        del meta["horizon"]
+        np.savez(path, **{**data, "meta": json.dumps(meta)})
+        back = fw.load_model(path)
+        assert back.horizon == 1
+        X = rng.standard_normal((20, 3))
+        assert back.predict(X).tobytes() == m.predict(X).tobytes()
+
+
 class TestLoadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -132,6 +189,15 @@ class TestLoadValidation:
         else:
             del meta["bias"]
         np.savez(path, **{**data, "meta": json.dumps(meta)})
+        with pytest.raises(DataError, match="malformed"):
+            fw.load_model(path)
+
+    @pytest.mark.parametrize("horizon", [1.5, "2", None])
+    def test_malformed_horizon(self, fir_data, tmp_path, horizon):
+        path = tmp_path / "w.npz"
+        fw.save_model(fw.wiener_fit(fir_data, 3), path)
+        data = read_npz(path)
+        np.savez(path, **{**data, "meta": json.dumps({"horizon": horizon})})
         with pytest.raises(DataError, match="malformed"):
             fw.load_model(path)
 
