@@ -87,18 +87,11 @@ def _embed_from(args, cfg: dict, L: int, horizon: int):
 
 def cmd_generate(args) -> int:
     cfg = _load_json(args.config)
-    dataset = cfg.get("dataset")
-    if dataset not in evalbench.DATASETS:
-        raise ParameterError(
-            f"config must set dataset to one of {', '.join(evalbench.DATASETS)}"
-        )
-    n = cfg.get("n")
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError("config must set n to a positive integer")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    params = {
-        k: v for k, v in cfg.items() if k not in ("dataset", "n", "seed")
-    }
+    dataset, n = cfg.get("dataset"), evalbench.check_int("n", cfg.get("n"), 1)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = evalbench.check_int("seed", seed, 0)
+    params = {k: v for k, v in cfg.items() if k not in ("dataset", "n", "seed")}
+    # checks the dataset and every generator key before anything is written
     out = evalbench.make_series(dataset, params, seed, n)
     if dataset == "fir":
         x, z = out
@@ -219,9 +212,11 @@ def cmd_bench(args) -> int:
     # validate the sweep before the experiment writes anything
     timing_sizes, _ = evalbench.check_timing(sweep, timing_hyper)
 
+    # the experiment generates the series first, so a bad generator key
+    # exits before the output directory exists
+    table = evalbench.run_experiment(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = evalbench.run_experiment(cfg)
     evalbench.write_results_csv(table, out_dir / "results.csv")
     summary = evalbench.summarize(table)
     timing = evalbench.timing_scaling(

@@ -3,8 +3,11 @@
 Two families matter to the command-line layer: configuration/validation
 problems (exit code 2) and runtime/data problems (exit code 3).  Every
 exception carries its family in ``exit_code`` so the CLI can map errors
-without inspecting types one by one.
+without inspecting types one by one.  ``check_int`` and ``check_real``
+are the scalar checks behind the configuration family.
 """
+
+import numbers
 
 
 class FilterError(Exception):
@@ -60,3 +63,21 @@ class ConditioningError(FilterError):
     def __init__(self, message, pivot=None):
         self.pivot = pivot
         super().__init__(message)
+
+
+def check_int(key: str, value, minimum: int) -> int:
+    """``value`` if it is an integer >= ``minimum``; bools and strings fail."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ParameterError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_real(key: str, value) -> float:
+    """``value`` as a float if it is a real number; bools and strings fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)

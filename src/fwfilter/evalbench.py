@@ -9,14 +9,13 @@ times scale with training-set size.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baselines, fwf_core
-from .errors import FilterError, ParameterError
+from .errors import FilterError, ParameterError, check_int, check_real
 from .kernel_stats import KernelWidth
 from .signal_gen import (
     Dataset,
@@ -61,17 +60,6 @@ RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
 TIMING_HEADER = "method,n_train,fit_seconds,predict_us_per_query"
 
 
-def check_int(key: str, value, minimum: int) -> int:
-    """``value`` if it is an integer >= ``minimum``; bools and strings fail."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < minimum
-    ):
-        raise ParameterError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _sizes(key: str, values, least: int) -> tuple[int, ...]:
     """``values`` as a tuple if it is a list of at least ``least`` positive
     integers in strictly ascending order."""
@@ -81,12 +69,6 @@ def _sizes(key: str, values, least: int) -> tuple[int, ...]:
     if len(sizes) < least or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError(f"{key} must be >= {least} strictly ascending values")
     return sizes
-
-
-def _real(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -227,29 +209,45 @@ def mse(pred, target) -> float:
     return float(np.mean(d * d))
 
 
+def _reals(key: str, values) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"{key} must be a list of numbers, got {values!r}")
+    return [check_real(key, v) for v in values]
+
+
 def make_series(dataset: str, params: dict, seed: int, n: int):
-    """Instantiate a generator config and produce ``n`` samples.
+    """Instantiate a generator config and produce ``n`` samples, or the
+    ``n`` of ``params``; every key is checked before anything runs.
 
     Returns a Series for the chaotic systems and an (input, desired) pair
     for the FIR process.
     """
-    params = dict(params)
-    params.pop("n", None)
+    if not isinstance(params, dict):
+        raise ParameterError(f"generator must be a JSON object, got {params!r}")
+    p = dict(params)
+    n = check_int("n", p.pop("n", n), 1)
     if dataset == "mackey_glass":
-        warmup = int(params.pop("warmup", 3000))
-        init = float(params.pop("init", 1.2))
-        return gen_mackey_glass(MGParams(**params), n, warmup=warmup, init=init)
-    if dataset == "lorenz":
-        warmup = int(params.pop("warmup", 1000))
-        init = tuple(params.pop("init", (1.0, 1.0, 1.0)))
-        return gen_lorenz(LorenzParams(**params), n, warmup=warmup, init=init)
-    if dataset == "fir":
-        coeffs = params.pop("coeffs", (0.3, -0.2, 0.1))
-        noise_seed = int(params.pop("noise_seed", seed))
-        if params:
-            raise ParameterError(f"unknown fir parameters: {sorted(params)}")
+        warmup = check_int("warmup", p.pop("warmup", 3000), 0)
+        init = check_real("init", p.pop("init", 1.2))
+        gen, cls = gen_mackey_glass, MGParams
+    elif dataset == "lorenz":
+        warmup = check_int("warmup", p.pop("warmup", 1000), 0)
+        init = tuple(_reals("init", p.pop("init", (1.0, 1.0, 1.0))))
+        gen, cls = gen_lorenz, LorenzParams
+    elif dataset == "fir":
+        coeffs = _reals("coeffs", p.pop("coeffs", (0.3, -0.2, 0.1)))
+        noise_seed = check_int("noise_seed", p.pop("noise_seed", seed), 0)
+        cls = None
+    else:
+        raise ParameterError(
+            f"unknown dataset {dataset!r}; valid: {', '.join(DATASETS)}"
+        )
+    unknown = sorted(set(p) - set(cls.__dataclass_fields__ if cls else ()))
+    if unknown:
+        raise ParameterError(f"unknown {dataset} parameters: {unknown}")
+    if cls is None:
         return gen_fir_process(coeffs, n, noise_seed)
-    raise ParameterError(f"unknown dataset {dataset!r}")
+    return gen(cls(**p), n, warmup=warmup, init=init)
 
 
 def make_dataset(cfg: ExperimentConfig, n_rows: int) -> Dataset:
@@ -260,7 +258,6 @@ def make_dataset(cfg: ExperimentConfig, n_rows: int) -> Dataset:
     comparable to the generating coefficients.
     """
     n = cfg.order_L - 1 + cfg.horizon + n_rows
-    n = int(cfg.generator.get("n", n))
     out = make_series(cfg.dataset, cfg.generator, cfg.seed, n)
     if cfg.dataset == "fir":
         x, z = out
@@ -287,7 +284,7 @@ def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
     """The filter configuration for a method entry's hyperparameters."""
     for key in ("sigma_input", "sigma_weight"):
         if hyper.get(key) is not None:
-            KernelWidth(_real(key, hyper[key]))
+            KernelWidth(check_real(key, hyper[key]))
     try:
         return fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
     except TypeError as exc:
@@ -311,17 +308,17 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     if name == "wiener":
         ridge = hyper.pop("ridge", "auto")
         if ridge != "auto":
-            ridge = _real("ridge", ridge)
+            ridge = check_real("ridge", ridge)
         args = {"L": order_L, "ridge": ridge}
     else:
         sigma = hyper.pop("sigma", None)
         if sigma is not None:
-            sigma = KernelWidth(_real("sigma", sigma))
+            sigma = KernelWidth(check_real("sigma", sigma))
         args = {"sigma": sigma}
         if name == "klms":
-            args["eta"] = _real("eta", hyper.pop("eta", 0.5))
+            args["eta"] = check_real("eta", hyper.pop("eta", 0.5))
         else:
-            args["lam"] = _real("lam", hyper.pop("lam", 1e-6))
+            args["lam"] = check_real("lam", hyper.pop("lam", 1e-6))
     if hyper:
         raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
     return lambda d: getattr(baselines, f"{name}_fit")(d, **args)

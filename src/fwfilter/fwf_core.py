@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
-from .errors import ConditioningError, DataError, DimensionError, ParameterError
+from .errors import ConditioningError, DimensionError, ParameterError
 from .kernel_stats import (
     KernelWidth,
     auto_ridge,
@@ -172,46 +172,49 @@ def _functional_outputs(
     of raw outputs (no bias subtraction).
 
     Queries are taken in chunks of ``_ROW_CHUNK`` rows, whose ``b x K x L``
-    blocks stay in cache: each chunk gathers its neighbors' points and
-    offsets once and evaluates every alpha on them in one reused buffer.
-    Per element the steps are ``d = (P - a*O) - Q``, ``d*d``, negation,
-    division by ``2*sigma_input**2``, ``exp`` and the product with the
-    weights, in that order, followed by a sum over L and a mean over K of a
-    contiguous block; so each row is bitwise the one a separate evaluation
-    of its partner set gives, whatever the chunking.
+    blocks stay in cache.  A prediction (``offsets=None``) computes in place
+    in its chunk's gather of partners.  The alpha sweep gathers each chunk's
+    neighbors' points and offsets once and evaluates every alpha on them in
+    one reused buffer.  Per element the steps are ``d = (P - a*O) - Q``,
+    ``d*d``, division by ``-2*sigma_input**2``, ``exp`` and the product
+    with the weights, in that order, followed by a sum over L and a
+    mean over K of a contiguous block; so each row is bitwise the one a
+    separate evaluation of its partner set gives, whatever the chunking.
     """
     B, K = nbr_idx.shape
     n_rows = 1 if offsets is None else len(alphas)
     raw = np.empty((n_rows, B))
-    s2 = 2.0 * sigma_input * sigma_input
-    shape = (min(B, _ROW_CHUNK), K, points.shape[1])
-    # weights and queries are laid out in full blocks, so that each pass
-    # over a chunk runs over contiguous memory instead of broadcasting
-    # along a short inner axis
-    d_buf, q_buf, w_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-    w_buf[...] = weights
+    neg_s2 = -2.0 * sigma_input * sigma_input
+    if offsets is not None:
+        # the sweep reuses each chunk's queries and the weights, so they are
+        # laid out in full blocks: each pass then runs over contiguous memory
+        # instead of broadcasting along a short inner axis
+        shape = (min(B, _ROW_CHUNK), K, points.shape[1])
+        d_buf, q_buf, w_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+        w_buf[...] = weights
     for lo in range(0, B, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, B)
         idx = nbr_idx[lo:hi]
         pts = points[idx]  # b x K x L
-        offs = None if offsets is None else offsets[idx]
-        d, q, w = d_buf[: hi - lo], q_buf[: hi - lo], w_buf[: hi - lo]
-        q[...] = queries[lo:hi, None, :]
+        if offsets is None:
+            d, q, w = pts, queries[lo:hi, None, :], weights
+        else:
+            offs = offsets[idx]
+            d, q, w = d_buf[: hi - lo], q_buf[: hi - lo], w_buf[: hi - lo]
+            q[...] = queries[lo:hi, None, :]
         for j in range(n_rows):
-            if offs is None:
-                np.subtract(pts, q, out=d)
-            else:
+            if offsets is not None:
                 np.multiply(alphas[j], offs, out=d)
                 np.subtract(pts, d, out=d)
-                np.subtract(d, q, out=d)
-            np.multiply(d, d, out=d)
-            np.negative(d, out=d)
-            np.divide(d, s2, out=d)
+            d -= q  # for a prediction, d is pts
+            d *= d
+            d /= neg_s2  # -(d / s2) bitwise: IEEE division is sign-symmetric
             np.exp(d, out=d)
-            np.multiply(d, w, out=d)
-            # the sum over K divided by K is what mean(axis=1) computes,
-            # without its per-call overhead
-            raw[j, lo:hi] = d.sum(axis=2).sum(axis=1) / K
+            d *= w
+            d.sum(axis=2).sum(axis=1, out=raw[j, lo:hi])
+    # the sum over K divided by K is what mean(axis=1) computes, without
+    # its per-call overhead
+    raw /= K
     return raw
 
 
@@ -318,14 +321,9 @@ def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
     """Predict a batch of windows; K defaults to the fitted configuration
     clamped to the training-set size."""
     X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != m.train_windows.shape[1]:
-        raise DimensionError("query windows must be B x L matching the model")
-    if not np.isfinite(X).all():
-        raise DataError("query windows must be finite")
     if K is None:
         K = min(m.config.k_neighbors, m.n_train)
-    if not (1 <= K <= m.n_train):
-        raise ParameterError(f"K must be in 1..{m.n_train}, got {K}")
+    # the neighbor query checks the shape, finiteness and K
     nbr_idx, _ = neighbors.query_batch(m.neighbor_index, X, K)
     raw = _functional_outputs(m.weights, m.partners, nbr_idx, X, m.sigma_input)
     return raw[0] - m.bias
@@ -333,7 +331,5 @@ def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
 
 def predict(m: FwfModel, x, K: int | None = None) -> float:
     """Predict a single window (see :func:`predict_batch`)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError("predict expects a single window; use predict_batch")
-    return float(predict_batch(m, x[None, :], K)[0])
+    # a window of the wrong length or rank fails the neighbor query's checks
+    return float(predict_batch(m, np.asarray(x, dtype=float)[None], K)[0])

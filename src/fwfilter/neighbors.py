@@ -15,7 +15,7 @@ import os
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 
 __all__ = ["NeighborIndex", "build", "query", "query_batch", "linear_scan_query", "worker_count"]
 
@@ -36,15 +36,18 @@ def worker_count() -> int:
     return -1 if n == 0 else n
 
 
-def _ref_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Reference Euclidean distances; every code path must use this formula."""
-    d = points - q
-    return np.sqrt((d * d).sum(axis=-1))
+def _ref_distances(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Reference Euclidean distances from ``q`` to the rows of the C-ordered
+    ``d``, computed in ``d``; every code path must use this formula."""
+    d -= q
+    d *= d
+    s = d.sum(axis=-1)
+    return np.sqrt(s, out=s)
 
 
 def linear_scan_query(points: np.ndarray, q, K: int):
     """Brute-force K-NN: the semantics every index must reproduce exactly."""
-    points = np.asarray(points, dtype=float)
+    points = np.array(points, dtype=float, order="C")
     q = np.asarray(q, dtype=float)
     dist = _ref_distances(points, q)
     order = np.lexsort((np.arange(len(points)), dist))[:K]
@@ -86,12 +89,8 @@ def query(idx: NeighborIndex, q, K: int):
 
     Results are bitwise identical to :func:`linear_scan_query`.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (idx.points.shape[1],):
-        raise DimensionError(
-            f"query length {q.shape} does not match window length {idx.points.shape[1]}"
-        )
-    ii, dd = query_batch(idx, q[None, :], K)
+    # a window of the wrong length or rank fails query_batch's shape check
+    ii, dd = query_batch(idx, np.asarray(q, dtype=float)[None], K)
     return ii[0], dd[0]
 
 
@@ -99,29 +98,31 @@ def query_batch(idx: NeighborIndex, queries, K: int):
     """Exact K-NN for a batch of queries: (B x K indices, B x K distances)."""
     queries = np.ascontiguousarray(queries, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != idx.points.shape[1]:
-        raise DimensionError("queries must be B x L matching the index")
-    N = len(idx)
+        raise DimensionError("query windows must be B x L matching the index")
+    if not np.isfinite(queries).all():
+        raise DataError("query windows must be finite")
+    N = idx.points.shape[0]
     if not (1 <= K <= N):
         raise ParameterError(f"K must be in 1..{N}, got {K}")
 
     # over-query by one so boundary ties with the excluded set are visible
-    k_probe = min(K + 1, N)
+    B, k_probe = len(queries), min(K + 1, N)
     _, ii = idx.tree.query(queries, k=k_probe, workers=worker_count())
-    ii = ii.reshape(len(queries), k_probe)
+    ii = ii.reshape(B, k_probe)
     dist = _ref_distances(idx.points[ii], queries[:, None, :])
 
-    # lexicographic (distance, index) order, so tied groups are index-ascending
+    # lexicographic (distance, index) order, so tied groups are
+    # index-ascending; offsetting each row's order by its start in the flat
+    # arrays lets one gather (``take``) pick the K kept columns of every row
     order = np.lexsort((ii, dist))
-    ii = np.take_along_axis(ii, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-
-    out_i = ii[:, :K].copy()
-    out_d = dist[:, :K].copy()
+    order += np.arange(0, B * k_probe, k_probe)[:, None]
+    out_i, out_d = ii.take(order[:, :K]), dist.take(order[:, :K])
 
     if k_probe > K:
         # ambiguous rows: the first excluded distance is within slack of the
-        # Kth kept distance, so the full tied group must be enumerated
-        risky = dist[:, K] <= out_d[:, K - 1] * (1.0 + _TIE_RTOL)
-        for r in np.nonzero(risky)[0]:
+        # Kth kept distance, so the full tied group must be enumerated; the
+        # loop runs over a list, which costs nothing when no row is ambiguous
+        risky = dist.take(order[:, K]) <= out_d[:, K - 1] * (1.0 + _TIE_RTOL)
+        for r in risky.nonzero()[0].tolist():
             out_i[r], out_d[r] = _resolve_ties(idx, queries[r], K, out_d[r, K - 1])
     return out_i, out_d

@@ -22,6 +22,8 @@ from .errors import (
     DimensionError,
     IntegrationDivergenceError,
     ParameterError,
+    check_int,
+    check_real,
 )
 
 __all__ = [
@@ -83,10 +85,9 @@ class MGParams:
 
     def __post_init__(self):
         for name in ("beta", "gamma", "n_exp", "tau_delay", "step"):
-            if not getattr(self, name) > 0:
+            if not check_real(f"MGParams.{name}", getattr(self, name)) > 0:
                 raise ParameterError(f"MGParams.{name} must be positive")
-        if not (isinstance(self.downsample, int) and self.downsample >= 1):
-            raise ParameterError("MGParams.downsample must be a positive integer")
+        check_int("MGParams.downsample", self.downsample, 1)
         slots = self.tau_delay / self.step
         if abs(slots - round(slots)) > 1e-9:
             raise ParameterError(
@@ -110,10 +111,9 @@ class LorenzParams:
 
     def __post_init__(self):
         for name in ("sigma", "rho", "beta", "step"):
-            if not getattr(self, name) > 0:
+            if not check_real(f"LorenzParams.{name}", getattr(self, name)) > 0:
                 raise ParameterError(f"LorenzParams.{name} must be positive")
-        if not (isinstance(self.downsample, int) and self.downsample >= 1):
-            raise ParameterError("LorenzParams.downsample must be a positive integer")
+        check_int("LorenzParams.downsample", self.downsample, 1)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The library evaluates these formulas in vectorized form inside
 ``fwf_core.fit`` and ``fwf_core.predict_batch``; the one-window and
 double-loop versions here state each formula directly so the tests can
 check the fast paths against them.  The straightforward earlier forms of
-two fast paths are kept too: the per-alpha search loop and the 3-vector
-Lorenz integrator.
+three fast paths are kept too: the per-alpha search loop, the 3-vector
+Lorenz integrator and the neighbor correction layer built on
+``take_along_axis``.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from fwfilter.errors import (
     IntegrationDivergenceError,
     ParameterError,
 )
+from fwfilter.neighbors import _TIE_RTOL
 from fwfilter.fwf_core import G_FLOOR
 from fwfilter.kernel_stats import LagProfile, gaussian, gaussian_inverse
 
@@ -140,3 +142,34 @@ def gen_lorenz_vector(p, n, warmup=1000, init=(1.0, 1.0, 1.0)) -> np.ndarray:
             if not np.all(np.isfinite(state)):
                 raise IntegrationDivergenceError(i)
     return out[warmup :: p.downsample][:n]
+
+
+def _ref_distances(points, q):
+    d = points - q
+    return np.sqrt((d * d).sum(axis=-1))
+
+
+def query_batch(idx, queries, K):
+    """Exact K-NN correction of the tree's output in its earlier form: two
+    ``take_along_axis`` gathers of the (distance, index) order and copies
+    of the K kept columns, with the tie fallback over the Kth radius."""
+    queries = np.ascontiguousarray(queries, dtype=float)
+    k_probe = min(K + 1, len(idx))
+    _, ii = idx.tree.query(queries, k=k_probe)
+    ii = ii.reshape(len(queries), k_probe)
+    dist = _ref_distances(idx.points[ii], queries[:, None, :])
+    order = np.lexsort((ii, dist))
+    ii = np.take_along_axis(ii, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    out_i = ii[:, :K].copy()
+    out_d = dist[:, :K].copy()
+    if k_probe > K:
+        risky = dist[:, K] <= out_d[:, K - 1] * (1.0 + _TIE_RTOL)
+        for r in np.nonzero(risky)[0]:
+            radius = out_d[r, K - 1] * (1.0 + _TIE_RTOL)
+            q = queries[r]
+            cand = np.array(idx.tree.query_ball_point(q, radius), dtype=np.intp)
+            d = _ref_distances(idx.points[cand], q)
+            keep = np.lexsort((cand, d))[:K]
+            out_i[r], out_d[r] = cand[keep], d[keep]
+    return out_i, out_d

@@ -39,6 +39,29 @@ def fir_csvs(tmp_path):
     return str(xp), str(zp)
 
 
+# generator keys that must be rejected with exit 2: dataset, keys, the name
+# the message must carry
+BAD_GENERATOR_KEYS = [
+    ("mackey_glass", {"beta": "x"}, "beta"),
+    ("mackey_glass", {"bogus": 1}, "bogus"),
+    ("mackey_glass", {"warmup": "x"}, "warmup"),
+    ("mackey_glass", {"init": "x"}, "init"),
+    ("mackey_glass", {"downsample": True}, "downsample"),
+    ("lorenz", {"init": 5}, "init"),
+    ("lorenz", {"init": [1.0, "x", 1.0]}, "init"),
+    ("lorenz", {"rho": None}, "rho"),
+    ("lorenz", {"bogus": 1}, "bogus"),
+    ("fir", {"coeffs": "x"}, "coeffs"),
+    ("fir", {"noise_seed": 1.5}, "noise_seed"),
+]
+
+
+def assert_one_line_error(code, stderr, key):
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert key in stderr
+
+
 class TestGenerate:
     def test_mackey_glass_csv(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json", {"dataset": "mackey_glass", "n": 100})
@@ -78,6 +101,27 @@ class TestGenerate:
         )
         assert code == 2
         assert "tau_delay" in stderr
+
+    @pytest.mark.parametrize("dataset,params,key", BAD_GENERATOR_KEYS)
+    def test_bad_generator_key(self, tmp_path, capsys, dataset, params, key):
+        cfg = write_json(tmp_path / "gen.json", {"dataset": dataset, "n": 100, **params})
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, "generate", "--config", cfg, "--out", str(out))
+        assert_one_line_error(code, stderr, key)
+        assert stdout == "" and list(tmp_path.iterdir()) == [tmp_path / "gen.json"]
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [({"dataset": "wavelet", "n": 100}, "wavelet"),
+         ({"dataset": "fir", "n": 100, "seed": "x"}, "seed"),
+         ({"dataset": "fir", "n": 100.0}, "n")],
+    )
+    def test_bad_top_level_key(self, tmp_path, capsys, cfg, key):
+        path = write_json(tmp_path / "gen.json", cfg)
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "generate", "--config", path, "--out", str(out))
+        assert_one_line_error(code, stderr, key)
+        assert not out.exists()
 
     def test_missing_n(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json", {"dataset": "lorenz"})
@@ -503,6 +547,23 @@ class TestBench:
         assert code == 2
         assert next(iter(bad)) in stderr
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "dataset,params,key",
+        BAD_GENERATOR_KEYS + [("mackey_glass", 5, "generator"),
+                              ("mackey_glass", {"n": "x"}, "n")],
+    )
+    def test_bad_generator_block(self, tmp_path, capsys, dataset, params, key):
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": dataset, "generator": params, "train_sizes": [120, 160],
+             "folds": 2, "test_size": 30, "methods": [{"name": "wiener"}],
+             "timing": {"sizes": [50, 100, 200]}},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert_one_line_error(code, stderr, key)
+        assert not out.exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(

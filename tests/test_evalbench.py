@@ -148,6 +148,22 @@ class TestMakeSeries:
         with pytest.raises(ParameterError):
             eb.make_series("fir", {"cutoff": 1.0}, 0, 100)
 
+    @pytest.mark.parametrize("dataset", ["mackey_glass", "lorenz"])
+    def test_unknown_chaotic_parameter(self, dataset):
+        with pytest.raises(ParameterError, match="cutoff"):
+            eb.make_series(dataset, {"cutoff": 1.0}, 0, 100)
+
+    def test_params_n_overrides(self):
+        s = eb.make_series("lorenz", {"n": 30, "init": [1.0, 2.0, 3.0]}, 0, 100)
+        ref = fw.gen_lorenz(fw.LorenzParams(), 30, init=(1.0, 2.0, 3.0))
+        np.testing.assert_array_equal(s.values, ref.values)
+        with pytest.raises(ParameterError, match="n must"):
+            eb.make_series("lorenz", {"n": 0}, 0, 100)
+
+    def test_generator_must_be_a_mapping(self):
+        with pytest.raises(ParameterError, match="generator"):
+            eb.make_series("fir", [1], 0, 100)
+
 
 class TestMakeDataset:
     def test_row_count_matches_request(self):

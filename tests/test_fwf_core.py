@@ -446,3 +446,35 @@ class TestAgainstLinearBaseline:
         )
         m = fw.fit(data, fw.FwfConfig(order_L=2, sigma_input=1.0, horizon=0))
         assert m.train_mse <= 10.0 * w_mse
+
+
+class TestThreadCount:
+    def test_fwf_threads_never_changes_a_result(self, mg_data, monkeypatch):
+        # FWF_THREADS sets the tree's worker count: unset (1), 0 (one per
+        # core) and 2 must give the same bytes on every output
+        n = 2000
+        train = fw.Dataset(
+            windows=mg_data.windows[:n], targets=mg_data.targets[:n],
+            order_L=10, horizon=1,
+            source_x=mg_data.source_x[: n + 9], source_z=mg_data.source_z[: n + 9],
+        )
+        held_out = mg_data.windows[n + 11 :]
+        cfg = fw.FwfConfig(order_L=10, k_neighbors=2)
+        runs = []
+        for value in (None, "0", "2"):
+            if value is None:
+                monkeypatch.delenv("FWF_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("FWF_THREADS", value)
+            m = fw.fit(train, cfg)
+            idx = m.neighbor_index
+            out = [
+                np.array([m.alpha, m.train_mse, m.bias]), m.partners,
+                fw.predict_batch(m, held_out), fw.predict_batch(m, held_out, 5),
+                *neighbors.query_batch(idx, held_out, 3),
+                *neighbors.query_batch(idx, held_out[:1], 3),
+                *neighbors.query_batch(idx, train.windows, 2),
+            ]
+            runs.append([a.tobytes() for a in out])
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]

@@ -3,8 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from fwfilter import neighbors
-from fwfilter.errors import DimensionError, ParameterError
+import fwfilter as fw
+import oracles
+from fwfilter import fwf_core, neighbors
+from fwfilter.errors import DataError, DimensionError, ParameterError
 
 
 class TestWorkerCount:
@@ -129,6 +131,85 @@ class TestExactness:
         nn, d = neighbors.query(idx, np.zeros(2), 4)
         np.testing.assert_array_equal(nn, [0, 1, 2, 3])
         assert np.all(d == d[0])
+
+
+def _lattice():
+    return np.stack(
+        np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+
+
+class TestBatchExactness:
+    """Whole batches against the linear scan and the earlier correction
+    layer; these guard the row offsets of the flat gather."""
+
+    def test_mixed_tie_and_clean_rows_in_one_batch(self, rng, monkeypatch):
+        grid = _lattice()
+        # every lattice point three times over (its neighbors are always
+        # tied), plus a cloud of distinct points far from it (never tied)
+        cloud = 10.0 + rng.standard_normal((20, 3))
+        pts = np.vstack([grid, grid, grid, cloud])
+        idx = neighbors.build(pts)
+        queries = np.vstack(
+            [grid, grid + 0.5, cloud, cloud + 0.01 * rng.standard_normal((20, 3))]
+        )
+        resolved = []
+        resolve = neighbors._resolve_ties
+
+        def counting(idx_, q, K, d_max):
+            resolved.append(q)
+            return resolve(idx_, q, K, d_max)
+
+        monkeypatch.setattr(neighbors, "_resolve_ties", counting)
+        for K in (1, 2, 4, len(pts)):
+            resolved.clear()
+            nn, d = neighbors.query_batch(idx, queries, K)
+            assert nn.shape == d.shape == (len(queries), K)
+            if K < len(pts):
+                # the lattice rows are risky, the cloud rows clean
+                assert len(resolved) == 2 * len(grid)
+            else:
+                assert resolved == []
+            for r, q in enumerate(queries):
+                ref_nn, ref_d = neighbors.linear_scan_query(pts, q, K)
+                np.testing.assert_array_equal(nn[r], ref_nn)
+                np.testing.assert_array_equal(d[r], ref_d)
+
+    @pytest.mark.parametrize("n", [1, 3, 27])
+    def test_k_equal_to_n(self, n):
+        # k_probe == K: no excluded column, so no tie scan
+        pts = np.vstack([_lattice(), _lattice()])[:n]
+        idx = neighbors.build(pts)
+        queries = np.vstack([pts, pts + 0.5])
+        nn, d = neighbors.query_batch(idx, queries, n)
+        for r, q in enumerate(queries):
+            ref_nn, ref_d = neighbors.linear_scan_query(pts, q, n)
+            np.testing.assert_array_equal(nn[r], ref_nn)
+            np.testing.assert_array_equal(d[r], ref_d)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_bitwise_equal_to_earlier_correction_layer(self, mg_series, K):
+        data = fw.embed(mg_series, 10, 1)
+        n = 5000
+        s = fw.gen_mackey_glass(fw.MGParams(downsample=1), n + 2 * fwf_core._ROW_CHUNK)
+        windows = fw.embed(fw.standardize(s), 10, 1).windows
+        idx = neighbors.build(windows[:n])
+        held_out = windows[n + 11 :]
+        for B in (1, 7, fwf_core._ROW_CHUNK + 50):
+            for queries in (held_out[:B], windows[:B], data.windows[:B]):
+                got = neighbors.query_batch(idx, queries, K)
+                want = oracles.query_batch(idx, queries, K)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_queries_rejected(self, rng):
+        idx = neighbors.build(rng.standard_normal((10, 3)))
+        for bad in (np.nan, np.inf):
+            q = np.zeros((2, 3))
+            q[1, 2] = bad
+            with pytest.raises(DataError):
+                neighbors.query_batch(idx, q, 1)
 
 
 class TestScaling:

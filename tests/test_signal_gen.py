@@ -89,6 +89,17 @@ class TestMGParams:
         with pytest.raises(ParameterError, match="downsample"):
             fw.MGParams(downsample=0)
 
+    @pytest.mark.parametrize("cls", [fw.MGParams, fw.LorenzParams])
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_non_numbers_rejected(self, cls, value):
+        # checked before any comparison, so the error is a ParameterError
+        with pytest.raises(ParameterError, match="step"):
+            cls(step=value)
+        with pytest.raises(ParameterError, match="downsample"):
+            cls(downsample=value)
+        with pytest.raises(ParameterError, match="downsample"):
+            cls(downsample=2.0)
+
     def test_delay_must_align_with_step(self):
         with pytest.raises(ParameterError):
             fw.MGParams(tau_delay=0.35, step=0.1)
