@@ -282,9 +282,6 @@ def _subset(data: Dataset, n_rows: int) -> Dataset:
 
 def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
     """The filter configuration for a method entry's hyperparameters."""
-    for key in ("sigma_input", "sigma_weight"):
-        if hyper.get(key) is not None:
-            KernelWidth(check_real(key, hyper[key]))
     try:
         return fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
     except TypeError as exc:

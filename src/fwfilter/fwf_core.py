@@ -17,6 +17,7 @@ from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
 from .errors import ConditioningError, DimensionError, ParameterError
+from .errors import check_int, check_real
 from .kernel_stats import (
     KernelWidth,
     auto_ridge,
@@ -52,7 +53,7 @@ G_FLOOR = 1e-300
 RESIDUAL_TOL = 1e-10
 
 # query rows per block of the functional evaluation; at K=2 and L=10 the
-# gathered points, offsets and work buffer of one block take under 1 MB
+# alpha sweep's five L x K x b blocks take 1.6 MB
 _ROW_CHUNK = 2048
 
 
@@ -76,22 +77,17 @@ class FwfConfig:
     horizon: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.order_L, int) and self.order_L >= 1):
-            raise ParameterError("order_L must be a positive integer")
-        if not (isinstance(self.k_neighbors, int) and self.k_neighbors >= 1):
-            raise ParameterError("k_neighbors must be a positive integer")
-        if self.horizon < 0:
-            raise ParameterError("horizon must be >= 0")
-        if isinstance(self.alpha, str):
-            if self.alpha != "auto":
-                raise ParameterError("alpha must be a positive real or 'auto'")
-        elif not self.alpha > 0:
-            raise ParameterError("alpha must be a positive real or 'auto'")
-        if isinstance(self.ridge, str):
-            if self.ridge != "auto":
-                raise ParameterError("ridge must be a non-negative real or 'auto'")
-        elif self.ridge < 0:
-            raise ParameterError("ridge must be a non-negative real or 'auto'")
+        check_int("order_L", self.order_L, 1)
+        check_int("k_neighbors", self.k_neighbors, 1)
+        check_int("horizon", self.horizon, 0)
+        for key in ("sigma_input", "sigma_weight"):
+            w = getattr(self, key)
+            if not (w is None or isinstance(w, KernelWidth)):
+                KernelWidth(check_real(key, w))
+        if self.alpha != "auto" and not 0 < check_real("alpha", self.alpha) < np.inf:
+            raise ParameterError("alpha must be a positive finite real or 'auto'")
+        if self.ridge != "auto" and not 0 <= check_real("ridge", self.ridge) < np.inf:
+            raise ParameterError("ridge must be a non-negative finite real or 'auto'")
 
 
 @dataclass
@@ -159,6 +155,47 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     return w
 
 
+def _slab_sum(x, out):
+    """Sum ``x`` over its first axis into ``out``, overwriting ``x``.
+
+    Whole slabs ``x[i]`` are added in the order numpy's pairwise summation
+    adds the ``n = len(x)`` values of one contiguous run: in sequence below
+    8; up to 128, eight accumulators over 8-wide blocks, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in sequence;
+    above 128, the halves split at ``n//2`` rounded down to a multiple of 8.
+    Adding 0.0 last is numpy's zero start, which turns a -0.0 total into
+    +0.0.  So each element of ``out`` is bitwise what ``np.sum`` gives for
+    the same values laid out as one contiguous run.
+    """
+    n = len(x)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        _slab_sum(x[h:], x[h])
+        _slab_sum(x[:h], x[0])
+        return np.add(x[0], x[h], out=out)
+    m = 1
+    if n >= 8:
+        m = n - n % 8
+        for i in range(8, m, 8):
+            x[:8] += x[i : i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+    for i in range(m, n):
+        x[0] += x[i]
+    return np.add(x[0], 0.0, out=out)
+
+
+def _kernel_terms(d, q, w, neg_s2):
+    """Turn partner coordinates ``d`` into weighted kernel terms, in place:
+    ``d - q``, squared, divided by ``neg_s2``, ``exp``, times ``w``."""
+    d -= q
+    d *= d
+    d /= neg_s2  # -(d / s2) bitwise: IEEE division is sign-symmetric
+    np.exp(d, out=d)
+    d *= w
+
+
 def _functional_outputs(
     weights, points, nbr_idx, queries, sigma_input, offsets=None, alphas=None
 ):
@@ -171,47 +208,60 @@ def _functional_outputs(
     partners ``points - alphas[j]*offsets``.  Returns a ``rows x B`` array
     of raw outputs (no bias subtraction).
 
-    Queries are taken in chunks of ``_ROW_CHUNK`` rows, whose ``b x K x L``
-    blocks stay in cache.  A prediction (``offsets=None``) computes in place
-    in its chunk's gather of partners.  The alpha sweep gathers each chunk's
-    neighbors' points and offsets once and evaluates every alpha on them in
-    one reused buffer.  Per element the steps are ``d = (P - a*O) - Q``,
-    ``d*d``, division by ``-2*sigma_input**2``, ``exp`` and the product
-    with the weights, in that order, followed by a sum over L and a
-    mean over K of a contiguous block; so each row is bitwise the one a
-    separate evaluation of its partner set gives, whatever the chunking.
+    Queries are taken in chunks of ``_ROW_CHUNK`` rows.  Per element the
+    steps are ``d = (P - a*O) - Q``, ``d*d``, division by
+    ``-2*sigma_input**2``, ``exp`` and the product with the weights, in that
+    order, followed by a sum over the L lags, a sum over the K neighbors
+    and one division by K; each sum adds a run in numpy's pairwise order.
+    So each row is bitwise the one a separate evaluation of its partner set
+    gives, whatever the chunking or layout.
+
+    The alpha sweep lays each chunk out lag-major: its gathered points,
+    offsets, queries and weights are ``L x K x b`` blocks, filled once per
+    chunk and reused by every alpha in one work buffer of the same shape.
+    Every pass then runs over contiguous memory, and the two sums add
+    whole contiguous slabs with :func:`_slab_sum`, which fixes the
+    summation order itself rather than relying on the internals of numpy's
+    reductions.  A prediction (``offsets=None``) evaluates one row, so it
+    keeps the natural ``b x K x L`` gather and computes in it in place: the
+    transposing copies would cost more than its short sums save.
     """
     B, K = nbr_idx.shape
     n_rows = 1 if offsets is None else len(alphas)
     raw = np.empty((n_rows, B))
     neg_s2 = -2.0 * sigma_input * sigma_input
-    if offsets is not None:
-        # the sweep reuses each chunk's queries and the weights, so they are
-        # laid out in full blocks: each pass then runs over contiguous memory
-        # instead of broadcasting along a short inner axis
-        shape = (min(B, _ROW_CHUNK), K, points.shape[1])
-        d_buf, q_buf, w_buf = np.empty(shape), np.empty(shape), np.empty(shape)
-        w_buf[...] = weights
-    for lo in range(0, B, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, B)
-        idx = nbr_idx[lo:hi]
-        pts = points[idx]  # b x K x L
-        if offsets is None:
-            d, q, w = pts, queries[lo:hi, None, :], weights
-        else:
-            offs = offsets[idx]
-            d, q, w = d_buf[: hi - lo], q_buf[: hi - lo], w_buf[: hi - lo]
-            q[...] = queries[lo:hi, None, :]
-        for j in range(n_rows):
-            if offsets is not None:
+    if offsets is None:
+        for lo in range(0, B, _ROW_CHUNK):
+            hi = min(lo + _ROW_CHUNK, B)
+            d = points[nbr_idx[lo:hi]]  # b x K x L
+            _kernel_terms(d, queries[lo:hi, None, :], weights, neg_s2)
+            d.sum(axis=2).sum(axis=1, out=raw[0, lo:hi])
+    else:
+        L = points.shape[1]
+        bufs = [np.empty(L * K * min(B, _ROW_CHUNK)) for _ in range(5)]
+        w_rows = 0
+        for lo in range(0, B, _ROW_CHUNK):
+            hi = min(lo + _ROW_CHUNK, B)
+            b = hi - lo
+            pts, offs, d, q, w = (a[: L * K * b].reshape(L, K, b) for a in bufs)
+            if b != w_rows:  # only the last chunk can be shorter
+                w[...] = weights[:, None, None]
+                w_rows = b
+            # gather in natural order into the work buffer, then transpose:
+            # cheaper than gathering single lags across the whole array.
+            # The tree's indices are in range, so "clip" only skips the
+            # copy that "raise" makes of an output array
+            nat = d.reshape(b, K, L)
+            np.take(points, nbr_idx[lo:hi], axis=0, out=nat, mode="clip")
+            pts[...] = nat.transpose(2, 1, 0)
+            np.take(offsets, nbr_idx[lo:hi], axis=0, out=nat, mode="clip")
+            offs[...] = nat.transpose(2, 1, 0)
+            q[...] = queries[lo:hi].T[:, None, :]
+            for j in range(n_rows):
                 np.multiply(alphas[j], offs, out=d)
                 np.subtract(pts, d, out=d)
-            d -= q  # for a prediction, d is pts
-            d *= d
-            d /= neg_s2  # -(d / s2) bitwise: IEEE division is sign-symmetric
-            np.exp(d, out=d)
-            d *= w
-            d.sum(axis=2).sum(axis=1, out=raw[j, lo:hi])
+                _kernel_terms(d, q, w, neg_s2)
+                _slab_sum(_slab_sum(d, d[0]), raw[j, lo:hi])
     # the sum over K divided by K is what mean(axis=1) computes, without
     # its per-call overhead
     raw /= K

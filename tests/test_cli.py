@@ -273,6 +273,25 @@ class TestFit:
         assert list(hyper)[1] in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k_neighbors", True), ("alpha", True), ("ridge", True), ("ridge", None),
+         ("alpha", float("inf")), ("ridge", float("inf")), ("ridge", float("nan"))],
+    )
+    def test_bad_fwf_config_value_rejected(
+        self, tmp_path, capsys, mg_csv, key, value
+    ):
+        cfg = write_json(tmp_path / "fit.json", {"method": "fwf", key: value})
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert code == 2
+        assert key in stderr
+        assert len(stderr.strip().splitlines()) == 1
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
 
 class TestPredict:
     def fit_model(self, tmp_path, capsys, mg_csv):

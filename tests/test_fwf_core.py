@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fwfilter as fw
 import oracles
@@ -37,11 +40,36 @@ class TestFwfConfig:
             {"order_L": 10, "alpha": "grid"},
             {"order_L": 10, "ridge": -1e-9},
             {"order_L": 10, "ridge": "tiny"},
+            {"order_L": True},
+            {"order_L": 10.0},
+            {"order_L": 10, "k_neighbors": True},
+            {"order_L": 10, "horizon": True},
+            {"order_L": 10, "horizon": "1"},
+            {"order_L": 10, "alpha": True},
+            {"order_L": 10, "alpha": float("nan")},
+            {"order_L": 10, "alpha": float("inf")},
+            {"order_L": 10, "ridge": True},
+            {"order_L": 10, "ridge": None},
+            {"order_L": 10, "ridge": float("nan")},
+            {"order_L": 10, "sigma_input": "x"},
+            {"order_L": 10, "sigma_weight": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             fw.FwfConfig(**kwargs)
+
+    @given(
+        st.sampled_from([f.name for f in dataclasses.fields(fw.FwfConfig)]),
+        st.one_of(st.booleans(), st.integers(), st.floats(), st.text(), st.none()),
+    )
+    def test_any_json_scalar_builds_or_raises_parameter_error(self, key, value):
+        kwargs = {"order_L": 10, key: value}
+        try:
+            cfg = fw.FwfConfig(**kwargs)
+        except ParameterError:
+            return
+        assert getattr(cfg, key) is value
 
 
 class TestGVector:
@@ -380,6 +408,20 @@ class TestTuneAlpha:
         assert fw.tune_alpha(data, cfg) == ref_alpha
         assert fw.fit(data, cfg).train_mse == ref_stats[best][1]
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17, 130])
+    def test_curve_bitwise_equal_across_lag_counts(self, chunk_series, order, k):
+        # L < 8 sums in sequence, 8 <= L <= 128 in 8-wide blocks and
+        # L > 128 splits in two halves first
+        data = fw.embed(fw.Series(chunk_series.values[: 400 + order]), order, 1)
+        cfg = fw.FwfConfig(order_L=order, k_neighbors=k)
+        grid = fwf_core.DEFAULT_ALPHA_GRID
+        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+            data, cfg, grid
+        )
+        assert stats == ref_stats
+        assert float(alphas[best]) == ref_alpha
+
     def test_duplicated_grid_entry_ties_to_first(self, small_data):
         cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
         grid = [0.8, 0.05, 0.2, 0.4]
@@ -433,6 +475,26 @@ class TestTuneAlpha:
         assert g[0] == pytest.approx(0.01, rel=1e-12)
         assert g[-1] == pytest.approx(2.0, rel=1e-12)
         assert np.all(np.diff(g) > 0)
+
+
+class TestSlabSum:
+    def test_bitwise_equal_to_numpy_sum_of_contiguous_runs(self):
+        # n < 8, the 8-wide blocks up to 128 and the halving above it
+        rng = np.random.default_rng(0)
+        m, differ = 64, []
+        for n in range(1, 301):
+            x = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-13, 13, (m, n))
+            x[rng.random((m, n)) < 0.05] = 0.0
+            x[rng.random((m, n)) < 0.05] = -0.0
+            x[0] = -0.0  # a run of negative zeros sums to +0.0
+            x[1, ::2], x[1, 1::2] = -0.0, 0.0
+            x[2], x[2, ::3] = 1e13, -1e13  # cancellation
+            out = np.empty(m)
+            got = fwf_core._slab_sum(np.ascontiguousarray(x.T), out)
+            assert got is out
+            if got.tobytes() != x.sum(axis=-1).tobytes():
+                differ.append(n)
+        assert differ == []
 
 
 class TestAgainstLinearBaseline:
