@@ -52,12 +52,10 @@ from .fwf_core import (
     tune_alpha,
 )
 from .kernel_stats import (
-    KernelWidth,
-    LagMatrix,
-    LagProfile,
     auto_ridge,
     autocorrentropy,
     autocovariance,
+    check_width,
     crosscorrentropy,
     crosscovariance,
     gaussian,
@@ -95,7 +93,7 @@ __all__ = [
     "gen_lorenz", "gen_fir_process", "embed", "embed_pair", "standardize",
     "write_series_csv", "read_series_csv",
     # kernel statistics
-    "KernelWidth", "LagProfile", "LagMatrix", "gaussian", "gaussian_inverse",
+    "check_width", "gaussian", "gaussian_inverse",
     "autocorrentropy", "crosscorrentropy", "autocovariance", "crosscovariance",
     "toeplitz", "silverman_sigma", "auto_ridge",
     # core filter

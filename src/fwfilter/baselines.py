@@ -16,8 +16,8 @@ from scipy.spatial.distance import cdist
 from .errors import ConditioningError, DataError, DimensionError, ParameterError
 from .fwf_core import solve_weights
 from .kernel_stats import (
-    KernelWidth,
     autocovariance,
+    check_width,
     crosscovariance,
     resolve_width,
     toeplitz,
@@ -83,7 +83,7 @@ class KafModel:
 
     centers: np.ndarray
     coefficients: np.ndarray
-    sigma: KernelWidth
+    sigma: float
     variant: str
     horizon: int = 1
 
@@ -96,8 +96,7 @@ class KafModel:
             raise DimensionError("coefficients must pair 1:1 with centers")
         if self.variant not in KAF_VARIANTS:
             raise ParameterError(f"variant must be one of {KAF_VARIANTS}")
-        if not isinstance(self.sigma, KernelWidth):
-            object.__setattr__(self, "sigma", KernelWidth(float(self.sigma)))
+        object.__setattr__(self, "sigma", check_width("sigma", self.sigma))
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "coefficients", a)
 
@@ -117,39 +116,21 @@ class KafModel:
         return kaf_predict(self, X)
 
 
-def _fit_arrays(data) -> tuple[np.ndarray, np.ndarray, int | None, int]:
-    """Aligned (input, desired) sample arrays, order and horizon from a
-    Dataset or bare series.
-
-    A bare series is its own desired signal (identity system, horizon 0)."""
-    if isinstance(data, Dataset):
-        return data.source_x, data.source_z, data.order_L, data.horizon
-    x = np.asarray(getattr(data, "values", data), dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionError("series input must be a non-empty 1-d array")
-    return x, x, None, 0
-
-
-def wiener_fit(data, L: int, ridge: float | str = "auto") -> WienerModel:
-    """Solve the covariance normal equations (R + ridge I) W = P.
+def wiener_fit(data: Dataset, *, ridge: float | str = "auto") -> WienerModel:
+    """Solve the covariance normal equations (R + ridge I) W = P at the
+    dataset's order.
 
     ``ridge="auto"`` picks the smallest value keeping R positive definite.
     """
-    if not (isinstance(L, int) and L >= 1):
-        raise ParameterError("L must be a positive integer")
-    x, z, data_L, horizon = _fit_arrays(data)
-    if data_L is not None and data_L != L:
-        raise DimensionError(f"dataset order {data_L} != requested order {L}")
-    if x.size < L:
-        raise ParameterError("series shorter than the filter order")
+    x, L = data.source_x, data.order_L
     R = toeplitz(autocovariance(x, L))
-    P = crosscovariance(x, z, L)
+    P = crosscovariance(x, data.source_z, L)
     if ridge == "auto":
         from .kernel_stats import auto_ridge
 
         ridge = auto_ridge(R)
     w = solve_weights(R, P, float(ridge))
-    return WienerModel(w, horizon)
+    return WienerModel(w, data.horizon)
 
 
 def wiener_predict(m: WienerModel, x) -> float | np.ndarray:
@@ -194,7 +175,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
         for r in range(hi - lo):
             pred = carry[r] + float(np.dot(Kb[r, :r], alpha[lo : lo + r]))
             alpha[lo + r] = eta * (z[lo + r] - pred)
-    return KafModel(X, alpha, KernelWidth(sig), "klms", data.horizon)
+    return KafModel(X, alpha, sig, "klms", data.horizon)
 
 
 def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
@@ -212,7 +193,7 @@ def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
             f"regularized Gram matrix not positive definite (lambda={lam:g})"
         ) from exc
     alpha = cho_solve(factor, z)
-    return KafModel(X, alpha, KernelWidth(sig), variant, data.horizon)
+    return KafModel(X, alpha, sig, variant, data.horizon)
 
 
 def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
@@ -239,7 +220,7 @@ def kaf_predict(m: KafModel, x) -> float | np.ndarray:
     if X.shape[1] != m.centers.shape[1]:
         raise DimensionError("window length does not match model centers")
     _finite_windows(X)
-    inv2s2 = 1.0 / (2.0 * m.sigma.sigma**2)
+    inv2s2 = 1.0 / (2.0 * m.sigma**2)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _PREDICT_CHUNK):
         hi = min(lo + _PREDICT_CHUNK, X.shape[0])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evalbench, fwf_core, model_io
-from .errors import DataError, FilterError, ParameterError
+from .errors import DataError, FilterError, ParameterError, check_int
 from .signal_gen import (
     Series,
     embed,
@@ -87,9 +87,9 @@ def _embed_from(args, cfg: dict, L: int, horizon: int):
 
 def cmd_generate(args) -> int:
     cfg = _load_json(args.config)
-    dataset, n = cfg.get("dataset"), evalbench.check_int("n", cfg.get("n"), 1)
+    dataset, n = cfg.get("dataset"), check_int("n", cfg.get("n"), 1)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = evalbench.check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     params = {k: v for k, v in cfg.items() if k not in ("dataset", "n", "seed")}
     # checks the dataset and every generator key before anything is written
     out = evalbench.make_series(dataset, params, seed, n)
@@ -120,8 +120,8 @@ def _task(cfg: dict, L: int, horizon: int):
     """Validated ``order_L`` and ``horizon`` of a fit, tune or predict config
     (``L`` and ``horizon`` where absent) and its remaining keys; checks that
     ``standardize`` is a bool."""
-    L = evalbench.check_int("order_L", cfg.get("order_L", L), 1)
-    horizon = evalbench.check_int("horizon", cfg.get("horizon", horizon), 0)
+    L = check_int("order_L", cfg.get("order_L", L), 1)
+    horizon = check_int("horizon", cfg.get("horizon", horizon), 0)
     if not isinstance(cfg.get("standardize", True), bool):
         raise ParameterError(
             f"standardize must be true or false, got {cfg['standardize']!r}"
@@ -167,7 +167,7 @@ def cmd_predict(args) -> int:
     if k is not None:
         if model.kind != "fwf":
             raise ParameterError("k_neighbors applies only to fwf models")
-        evalbench.check_int("k_neighbors", k, 1)
+        check_int("k_neighbors", k, 1)
     data = _embed_from(args, cfg, L, horizon)
     if k is None:
         pred = model.predict(data.windows)
@@ -253,11 +253,11 @@ def cmd_tune(args) -> int:
     cfg = _load_json(args.config)
     L, horizon, hyper = _task(cfg, 10, 1)
     grid = hyper.pop("grid", None)
+    if grid is not None:
+        grid = evalbench._reals("grid", grid)
     fwf_cfg = evalbench.fwf_config(hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
-    alpha = fwf_core.tune_alpha(
-        data, fwf_cfg, None if grid is None else np.asarray(grid, dtype=float)
-    )
+    alpha = fwf_core.tune_alpha(data, fwf_cfg, grid)
     print("alpha %.17g" % alpha)
     if args.out:
         with open(args.out, "w") as f:

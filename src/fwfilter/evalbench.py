@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines, fwf_core
 from .errors import FilterError, ParameterError, check_int, check_real
-from .kernel_stats import KernelWidth
+from .kernel_stats import check_width
 from .signal_gen import (
     Dataset,
     LorenzParams,
@@ -37,7 +37,6 @@ __all__ = [
     "TimingTable",
     "DATASETS",
     "METHODS",
-    "check_int",
     "kfold",
     "mse",
     "make_series",
@@ -306,11 +305,11 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
         ridge = hyper.pop("ridge", "auto")
         if ridge != "auto":
             ridge = check_real("ridge", ridge)
-        args = {"L": order_L, "ridge": ridge}
+        args = {"ridge": ridge}
     else:
         sigma = hyper.pop("sigma", None)
         if sigma is not None:
-            sigma = KernelWidth(check_real("sigma", sigma))
+            sigma = check_width("sigma", sigma)
         args = {"sigma": sigma}
         if name == "klms":
             args["eta"] = check_real("eta", hyper.pop("eta", 0.5))

@@ -19,9 +19,9 @@ from . import neighbors
 from .errors import ConditioningError, DimensionError, ParameterError
 from .errors import check_int, check_real
 from .kernel_stats import (
-    KernelWidth,
     auto_ridge,
     autocorrentropy,
+    check_width,
     crosscorrentropy,
     gaussian,
     gaussian_inverse,
@@ -69,8 +69,8 @@ class FwfConfig:
     """
 
     order_L: int
-    sigma_input: float | KernelWidth | None = None
-    sigma_weight: float | KernelWidth | None = None
+    sigma_input: float | None = None
+    sigma_weight: float | None = None
     alpha: float | str = "auto"
     k_neighbors: int = 2
     ridge: float | str = "auto"
@@ -81,9 +81,8 @@ class FwfConfig:
         check_int("k_neighbors", self.k_neighbors, 1)
         check_int("horizon", self.horizon, 0)
         for key in ("sigma_input", "sigma_weight"):
-            w = getattr(self, key)
-            if not (w is None or isinstance(w, KernelWidth)):
-                KernelWidth(check_real(key, w))
+            if getattr(self, key) is not None:
+                check_width(key, getattr(self, key))
         if self.alpha != "auto" and not 0 < check_real("alpha", self.alpha) < np.inf:
             raise ParameterError("alpha must be a positive finite real or 'auto'")
         if self.ridge != "auto" and not 0 <= check_real("ridge", self.ridge) < np.inf:
@@ -132,8 +131,8 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     Never forms an inverse; failure to factor raises a conditioning error
     reporting the offending pivot.
     """
-    A = np.asarray(getattr(V, "entries", V), dtype=float)
-    b = np.asarray(getattr(Pv, "values", Pv), dtype=float)
+    A = np.asarray(V, dtype=float)
+    b = np.asarray(Pv, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise DimensionError("system dimensions do not match")
     A_r = np.asarray_chkfinite(A + ridge * np.eye(A.shape[0]))
@@ -330,8 +329,8 @@ def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
     grid = DEFAULT_ALPHA_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("alpha grid must be non-empty")
-    if not np.all(grid > 0):
-        raise ParameterError("alpha grid entries must be positive")
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise ParameterError("alpha grid entries must be positive and finite")
     s_in, _, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
     alphas, _, best = _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
     return float(alphas[best])

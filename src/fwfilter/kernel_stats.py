@@ -3,12 +3,12 @@
 Implements the unnormalized Gaussian kernel, its inverse, empirical
 correntropy/covariance lag profiles, and the Toeplitz lift from profile
 to matrix.  Estimators average over all valid pairs per lag (1/(N-tau)
-normalization).
+normalization).  A profile is a 1-d float array indexed by lag (the
+auto-correntropy one has v[0] == 1.0), its lift an L x L array, and a kernel
+width a float that :func:`check_width` checks wherever it enters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,12 +19,11 @@ from .errors import (
     DimensionError,
     DomainError,
     ParameterError,
+    check_real,
 )
 
 __all__ = [
-    "KernelWidth",
-    "LagProfile",
-    "LagMatrix",
+    "check_width",
     "gaussian",
     "gaussian_inverse",
     "autocorrentropy",
@@ -37,25 +36,18 @@ __all__ = [
     "auto_ridge",
 ]
 
-PROFILE_KINDS = ("correntropy", "covariance", "cross_correntropy", "cross_covariance")
 
-
-@dataclass(frozen=True)
-class KernelWidth:
-    """Gaussian kernel bandwidth sigma."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ParameterError("kernel width sigma must be positive and finite")
-
-
-def _sigma(w) -> float:
-    """Accept a KernelWidth or a bare positive float."""
-    if isinstance(w, KernelWidth):
-        return w.sigma
-    return KernelWidth(float(w)).sigma
+def check_width(key: str, w) -> float:
+    """``w`` as a float if it is a usable kernel width: a real whose ``2 w**2``
+    and ``1 / (2 w**2)`` are positive finite doubles (about 5.3e-155 to
+    9.5e153); bools and strings fail."""
+    w = check_real(key, w)
+    s2 = 2.0 * w * w
+    if not (w > 0 and 0 < s2 < np.inf and 1.0 / s2 < np.inf):
+        raise ParameterError(
+            f"{key} must be a kernel width of about 5.3e-155 to 9.5e153, got {w!r}"
+        )
+    return w
 
 
 def _values(s) -> np.ndarray:
@@ -66,45 +58,16 @@ def _values(s) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class LagProfile:
-    """Per-lag statistic vector indexed by tau = 0..L-1."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ParameterError(f"unknown profile kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise DimensionError("profile values must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("profile entries must be finite")
-        if self.kind in ("correntropy", "cross_correntropy"):
-            if not np.all((values > 0) & (values <= 1)):
-                raise ParameterError("correntropy entries must lie in (0, 1]")
-        if self.kind == "correntropy" and values[0] != 1.0:
-            raise ParameterError("correntropy profile must have value 1 at lag 0")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class LagMatrix:
-    """Symmetric (Toeplitz when profile-built) L x L matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionError("lag matrix must be square")
-        if not np.allclose(entries, entries.T, rtol=0.0, atol=1e-12):
-            raise ParameterError("lag matrix must be symmetric to 1e-12")
-        object.__setattr__(self, "entries", entries)
+def _profile(vals, correntropy: bool) -> np.ndarray:
+    """A lag profile as an array; user data can make either check fail."""
+    v = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("profile entries must be finite")
+    if correntropy and not np.all(v > 0):
+        raise ParameterError(
+            "correntropy entries must lie in (0, 1]; the kernel width is too small"
+        )
+    return v
 
 
 def gaussian(x, y, w) -> np.ndarray | float:
@@ -113,7 +76,7 @@ def gaussian(x, y, w) -> np.ndarray | float:
     Broadcasts over array inputs; values lie in (0, 1] with
     ``gaussian(a, a, w) == 1`` exactly.
     """
-    sg = _sigma(w)
+    sg = check_width("sigma", w)
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     # d*d may overflow to inf for extreme separations; exp(-inf) = 0 is the
     # right limit, so the warning is noise
@@ -127,7 +90,7 @@ def gaussian_inverse(g, w) -> np.ndarray | float:
 
     Only the non-negative branch is returned; g must lie in (0, 1].
     """
-    sg = _sigma(w)
+    sg = check_width("sigma", w)
     garr = np.asarray(g, dtype=float)
     if not np.all((garr > 0) & (garr <= 1)):
         raise DomainError("gaussian_inverse requires g in (0, 1]")
@@ -157,48 +120,47 @@ def _cross_values(x, z, L):
     return xv, zv
 
 
-def autocorrentropy(s, L: int, w) -> LagProfile:
+def autocorrentropy(s, L: int, w) -> np.ndarray:
     """Empirical auto-correntropy profile v(tau), tau = 0..L-1.
 
     v(tau) = mean over t of G_sigma(X(t), X(t - tau)); v(0) = 1 exactly.
     """
     x = _values(s)
     _check_length(len(x), L)
-    sg = _sigma(w)
+    sg = check_width("sigma", w)
     vals = _per_lag(x, x, range(1, L), lambda a, b: gaussian(a, b, sg))
-    return LagProfile("correntropy", [1.0, *vals])
+    return _profile([1.0, *vals], True)
 
 
-def crosscorrentropy(x, z, L: int, w) -> LagProfile:
+def crosscorrentropy(x, z, L: int, w) -> np.ndarray:
     """Empirical cross-correntropy profile P_v(tau), tau = 0..L-1.
 
     P_v(tau) = mean over t of G_sigma(Z(t), X(t - tau)) for aligned series.
     """
     xv, zv = _cross_values(x, z, L)
-    sg = _sigma(w)
-    vals = _per_lag(zv, xv, range(L), lambda a, b: gaussian(a, b, sg))
-    return LagProfile("cross_correntropy", vals)
+    sg = check_width("sigma", w)
+    return _profile(_per_lag(zv, xv, range(L), lambda a, b: gaussian(a, b, sg)), True)
 
 
-def autocovariance(s, L: int) -> LagProfile:
+def autocovariance(s, L: int) -> np.ndarray:
     """Empirical autocovariance profile for a zero-mean series."""
     x = _values(s)
     _check_length(len(x), L)
-    return LagProfile("covariance", _per_lag(x, x, range(L), np.multiply))
+    return _profile(_per_lag(x, x, range(L), np.multiply), False)
 
 
-def crosscovariance(x, z, L: int) -> LagProfile:
+def crosscovariance(x, z, L: int) -> np.ndarray:
     """Empirical cross-covariance profile for aligned zero-mean series."""
     xv, zv = _cross_values(x, z, L)
-    return LagProfile("cross_covariance", _per_lag(zv, xv, range(L), np.multiply))
+    return _profile(_per_lag(zv, xv, range(L), np.multiply), False)
 
 
-def toeplitz(profile: LagProfile) -> LagMatrix:
+def toeplitz(profile) -> np.ndarray:
     """Lift a lag profile to its symmetric Toeplitz matrix."""
-    return LagMatrix(scipy.linalg.toeplitz(profile.values))
+    return scipy.linalg.toeplitz(profile)
 
 
-def silverman_sigma(s) -> KernelWidth:
+def silverman_sigma(s) -> float:
     """Silverman's rule bandwidth: 1.06 * std * N^(-1/5)."""
     x = _values(s)
     if len(x) < 2:
@@ -206,13 +168,13 @@ def silverman_sigma(s) -> KernelWidth:
     sd = float(np.std(x))
     if sd == 0.0:
         raise DegenerateSeriesError("cannot pick a bandwidth for a constant series")
-    return KernelWidth(1.06 * sd * len(x) ** (-0.2))
+    return check_width("sigma", 1.06 * sd * len(x) ** (-0.2))
 
 
 def resolve_width(w, x) -> float:
-    """Sigma of a KernelWidth or positive float; ``None`` applies
-    Silverman's rule to the series ``x``."""
-    return silverman_sigma(x).sigma if w is None else _sigma(w)
+    """The checked width ``w``; ``None`` applies Silverman's rule to the
+    series ``x``."""
+    return silverman_sigma(x) if w is None else check_width("sigma", w)
 
 
 def auto_ridge(mat, base_scale: float = 1e-8) -> float:
@@ -222,7 +184,7 @@ def auto_ridge(mat, base_scale: float = 1e-8) -> float:
     eigenvalue does not clear that base (correntropy matrices of smooth
     series can be indefinite), escalates to ``2 |lambda_min| + base``.
     """
-    m = np.asarray(getattr(mat, "entries", mat), dtype=float)
+    m = np.asarray(mat, dtype=float)
     L = m.shape[0]
     base = base_scale * np.trace(m) / L
     lam = scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0]

@@ -36,11 +36,8 @@ _FIELDS = {
 
 
 def _to_json(value):
-    """A meta scalar in JSON form: a config as a dict, a width as its float."""
-    if isinstance(value, FwfConfig):
-        d = dataclasses.asdict(value)
-        return {k: v["sigma"] if isinstance(v, dict) else v for k, v in d.items()}
-    return getattr(value, "sigma", value)
+    """A meta scalar in JSON form: a config as a dict."""
+    return dataclasses.asdict(value) if isinstance(value, FwfConfig) else value
 
 
 def _from_json(name: str, value):

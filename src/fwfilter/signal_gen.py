@@ -51,7 +51,6 @@ class Series:
     """
 
     values: np.ndarray
-    dt: float = 1.0
     mean: float | None = None
     std: float | None = None
 
@@ -189,7 +188,7 @@ def gen_mackey_glass(
         hist[idx] = xn
         idx = (idx + 1) % slots
         x = xn
-    return Series(out[warmup :: p.downsample][:n], dt=p.step * p.downsample)
+    return Series(out[warmup :: p.downsample][:n])
 
 
 def gen_lorenz(
@@ -232,7 +231,7 @@ def gen_lorenz(
         z = z + (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise IntegrationDivergenceError(i)
-    return Series(out[warmup :: p.downsample][:n], dt=dt * p.downsample)
+    return Series(out[warmup :: p.downsample][:n])
 
 
 def gen_fir_process(coeffs, n: int, noise_seed: int) -> tuple[Series, Series]:
@@ -309,7 +308,7 @@ def standardize(s: Series) -> Series:
     sd = float(np.std(s.values))
     if sd == 0.0:
         raise DegenerateSeriesError("cannot standardize a zero-variance series")
-    return Series((s.values - mu) / sd, dt=s.dt, mean=mu, std=sd)
+    return Series((s.values - mu) / sd, mean=mu, std=sd)
 
 
 def write_series_csv(s: Series, path) -> None:

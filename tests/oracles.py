@@ -20,7 +20,7 @@ from fwfilter.errors import (
 )
 from fwfilter.neighbors import _TIE_RTOL
 from fwfilter.fwf_core import G_FLOOR
-from fwfilter.kernel_stats import LagProfile, gaussian, gaussian_inverse
+from fwfilter.kernel_stats import gaussian, gaussian_inverse
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def compute_partner(x, g: GVector, alpha: float, w) -> np.ndarray:
     return x - alpha * gaussian_inverse(gv, w)
 
 
-def rkhs_inner(coef_a, coef_b, profile: LagProfile) -> float:
+def rkhs_inner(coef_a, coef_b, profile: np.ndarray) -> float:
     """Inner product of two finite expansions under a lag profile.
 
     Each argument is a sequence of ``(time_index, coefficient)`` pairs; the
@@ -86,7 +86,7 @@ def rkhs_inner(coef_a, coef_b, profile: LagProfile) -> float:
                 raise ParameterError(
                     f"lag {lag} outside profile range 0..{L - 1}"
                 )
-            total += ca * cb * profile.values[lag]
+            total += ca * cb * profile[lag]
     return total
 
 

@@ -276,7 +276,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "key, value",
         [("k_neighbors", True), ("alpha", True), ("ridge", True), ("ridge", None),
-         ("alpha", float("inf")), ("ridge", float("inf")), ("ridge", float("nan"))],
+         ("alpha", float("inf")), ("ridge", float("inf")), ("ridge", float("nan")),
+         ("sigma_weight", 1e-300), ("sigma_input", 1e200)],
     )
     def test_bad_fwf_config_value_rejected(
         self, tmp_path, capsys, mg_csv, key, value
@@ -290,6 +291,18 @@ class TestFit:
         assert key in stderr
         assert len(stderr.strip().splitlines()) == 1
         assert "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_width_too_small_for_the_series(self, tmp_path, capsys):
+        # a valid width, but every off-lag correntropy value underflows to 0
+        series = tmp_path / "mg400.csv"
+        fw.write_series_csv(fw.gen_mackey_glass(fw.MGParams(), 400), series)
+        cfg = write_json(tmp_path / "fit.json", {"method": "fwf", "sigma_input": 1e-5})
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", str(series), "--out", str(out)
+        )
+        assert_one_line_error(code, stderr, "correntropy entries")
         assert not out.exists()
 
 
@@ -617,6 +630,19 @@ class TestTune:
         )
         assert code == 0
         assert json.loads(out.read_text())["alpha"] in (0.2, 0.4)
+
+    @pytest.mark.parametrize(
+        "grid", [[True, 0.5], ["x"], 5, [[0.1]], [float("inf"), 0.5]]
+    )
+    def test_bad_grid_rejected(self, tmp_path, capsys, mg_csv, grid):
+        cfg = write_json(tmp_path / "tune.json", {"order_L": 10, "grid": grid})
+        out = tmp_path / "alpha.json"
+        code, _, stderr = run(
+            capsys, "tune", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert_one_line_error(code, stderr, "grid")
+        assert "Traceback" not in stderr
+        assert not out.exists()
 
 
 def test_import_skips_unused_scipy_subpackages():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -460,3 +461,20 @@ class TestCsvOutput:
         loaded = json.loads(path.read_text())
         assert loaded["results"][0]["method"] == "fwf"
         assert loaded["errors"] == []
+
+
+def test_benchmark_tracer_resolves_every_traced_function():
+    # perfbench/tracing.py wraps fwfilter functions by module and name at
+    # import; a rename or re-binding here would otherwise fail only the
+    # benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); import tracing; "
+        "tracing.install(tracing.Tracer())"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fw.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

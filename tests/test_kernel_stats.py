@@ -11,7 +11,7 @@ from fwfilter.errors import (
     DomainError,
     ParameterError,
 )
-from fwfilter.kernel_stats import auto_ridge
+from fwfilter.kernel_stats import auto_ridge, check_width
 
 
 def brute_gaussian(a, b, sg):
@@ -65,12 +65,32 @@ def brute_crosscovariance(x, z, L):
 
 class TestKernelWidth:
     def test_holds_sigma(self):
-        assert fw.KernelWidth(0.5).sigma == 0.5
+        assert check_width("sigma", 0.5) == 0.5
+        assert type(check_width("sigma", np.float32(0.5))) is float
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ParameterError):
-            fw.KernelWidth(bad)
+        with pytest.raises(ParameterError, match="sigma"):
+            check_width("sigma", bad)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-160, 1e200])
+    def test_every_entry_rejects_out_of_domain(self, sigma):
+        # 2 sigma^2 or its reciprocal is 0 or inf at these widths, which made
+        # the fits divide by zero, overflow or predict NaN
+        s = fw.standardize(fw.gen_mackey_glass(fw.MGParams(), 400))
+        data = fw.embed(s, 10, 1)
+        entries = [
+            lambda: fw.FwfConfig(order_L=10, sigma_input=sigma),
+            lambda: fw.FwfConfig(order_L=10, sigma_weight=sigma),
+            lambda: fw.klms_fit(data, sigma=sigma),
+            lambda: fw.krls_fit(data, sigma=sigma),
+            lambda: fw.krr_fit(data, sigma=sigma),
+            lambda: fw.make_fitter("krls", {"sigma": sigma}, 10, 1),
+            lambda: fw.KafModel(np.ones((2, 10)), np.ones(2), sigma, "klms"),
+        ]
+        for entry in entries:
+            with pytest.raises(ParameterError, match="sigma"):
+                entry()
 
 
 class TestGaussian:
@@ -82,7 +102,7 @@ class TestGaussian:
 
     def test_symmetry_and_translation_invariance(self, rng):
         a, b = rng.standard_normal(2)
-        w = fw.KernelWidth(0.8)
+        w = 0.8
         assert fw.gaussian(a, b, w) == fw.gaussian(b, a, w)
         assert fw.gaussian(a + 5.0, b + 5.0, w) == pytest.approx(
             fw.gaussian(a, b, w), rel=1e-15
@@ -99,9 +119,7 @@ class TestGaussian:
         assert np.all(out > 0.0) and np.all(out <= 1.0)
 
     def test_accepts_bare_float_width(self):
-        assert fw.gaussian(0.0, 1.0, 2.0) == fw.gaussian(
-            0.0, 1.0, fw.KernelWidth(2.0)
-        )
+        assert fw.gaussian(0.0, 1.0, 2.0) == fw.gaussian(0.0, 1.0, 2)
 
 
 class TestGaussianInverse:
@@ -119,7 +137,7 @@ class TestGaussianInverse:
         np.testing.assert_allclose(back, d, rtol=1e-12, atol=1e-12)
 
     def test_roundtrip_other_direction(self, rng):
-        sg = fw.KernelWidth(1.3)
+        sg = 1.3
         g = rng.uniform(1e-6, 1.0, 1000)
         d = fw.gaussian_inverse(g, sg)
         np.testing.assert_allclose(fw.gaussian(d, 0.0, sg), g, rtol=1e-12)
@@ -133,23 +151,23 @@ class TestGaussianInverse:
 class TestAutocorrentropy:
     def test_constant_series_all_ones(self):
         prof = fw.autocorrentropy(np.full(50, 2.5), 5, 1.0)
-        np.testing.assert_array_equal(prof.values, np.ones(5))
+        np.testing.assert_array_equal(prof, np.ones(5))
 
     def test_lag_zero_is_exactly_one(self, rng):
         prof = fw.autocorrentropy(rng.standard_normal(100), 8, 0.5)
-        assert prof.values[0] == 1.0
+        assert prof[0] == 1.0
 
     def test_alternating_series(self):
         x = np.array([1.0, -1.0] * 50)
         prof = fw.autocorrentropy(x, 3, 1.0)
-        assert prof.values[1] == pytest.approx(np.exp(-2.0), rel=1e-14)
-        assert prof.values[2] == pytest.approx(1.0)
+        assert prof[1] == pytest.approx(np.exp(-2.0), rel=1e-14)
+        assert prof[2] == pytest.approx(1.0)
 
     def test_bounds(self, rng):
         for _ in range(20):
             x = rng.standard_normal(80)
             prof = fw.autocorrentropy(x, 6, rng.uniform(0.1, 2.0))
-            assert np.all(prof.values > 0.0) and np.all(prof.values <= 1.0)
+            assert np.all(prof > 0.0) and np.all(prof <= 1.0)
 
     def test_matches_double_loop(self, rng):
         for N in (7, 25, 200):
@@ -157,12 +175,12 @@ class TestAutocorrentropy:
             sg = rng.uniform(0.3, 1.5)
             prof = fw.autocorrentropy(x, min(6, N), sg)
             ref = brute_autocorrentropy(x, min(6, N), sg)
-            np.testing.assert_allclose(prof.values, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(prof, ref, rtol=1e-12, atol=1e-12)
 
     def test_kind_and_length(self, rng):
         prof = fw.autocorrentropy(rng.standard_normal(30), 4, 1.0)
-        assert prof.kind == "correntropy"
-        assert len(prof) == 4
+        assert isinstance(prof, np.ndarray) and prof.dtype == float
+        assert prof.shape == (4,)
 
     def test_accepts_series(self, mg_series):
         prof = fw.autocorrentropy(mg_series, 10, 0.5)
@@ -171,7 +189,7 @@ class TestAutocorrentropy:
     def test_length_boundary(self, rng):
         x = rng.standard_normal(5)
         prof = fw.autocorrentropy(x, 5, 1.0)  # one pair at the top lag
-        assert np.isfinite(prof.values[4])
+        assert np.isfinite(prof[4])
         with pytest.raises(DimensionError):
             fw.autocorrentropy(x, 6, 1.0)
 
@@ -180,21 +198,21 @@ class TestCrosscorrentropy:
     def test_equal_series_lag_zero(self, rng):
         x = rng.standard_normal(50)
         prof = fw.crosscorrentropy(x, x, 3, 0.7)
-        assert prof.values[0] == 1.0
+        assert prof[0] == 1.0
 
     def test_shifted_series_peaks_at_lag_one(self, rng):
         x = rng.standard_normal(100)
         z = np.concatenate([[0.0], x[:-1]])  # z(t) = x(t-1)
         prof = fw.crosscorrentropy(x, z, 3, 0.5)
-        assert prof.values[1] == 1.0
-        assert prof.values[0] < 1.0
+        assert prof[1] == 1.0
+        assert prof[0] < 1.0
 
     def test_six_sample_example(self):
         x = np.array([0.1, -0.4, 0.9, 0.3, -0.7, 0.5])
         z = np.array([0.2, 0.6, -0.1, 0.8, 0.4, -0.3])
         prof = fw.crosscorrentropy(x, z, 4, 0.7)
         ref = brute_crosscorrentropy(x, z, 4, 0.7)
-        np.testing.assert_allclose(prof.values, ref, rtol=1e-14)
+        np.testing.assert_allclose(prof, ref, rtol=1e-14)
 
     def test_matches_double_loop(self, rng):
         for N in (10, 60, 200):
@@ -202,7 +220,7 @@ class TestCrosscorrentropy:
             sg = rng.uniform(0.3, 1.5)
             prof = fw.crosscorrentropy(x, z, 5, sg)
             ref = brute_crosscorrentropy(x, z, 5, sg)
-            np.testing.assert_allclose(prof.values, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(prof, ref, rtol=1e-12, atol=1e-12)
 
     def test_length_mismatch(self, rng):
         with pytest.raises(AlignmentError):
@@ -214,104 +232,100 @@ class TestCovarianceProfiles:
         rng = np.random.default_rng(77)
         x = rng.standard_normal(100000)
         prof = fw.autocovariance(x, 4)
-        assert prof.values[0] == pytest.approx(1.0, abs=0.02)
-        np.testing.assert_allclose(prof.values[1:], 0.0, atol=0.02)
+        assert prof[0] == pytest.approx(1.0, abs=0.02)
+        np.testing.assert_allclose(prof[1:], 0.0, atol=0.02)
 
     def test_alternating_series(self):
         x = np.array([1.0, -1.0] * 20)
         prof = fw.autocovariance(x, 2)
-        assert prof.values[0] == 1.0
-        assert prof.values[1] == -1.0
+        assert prof[0] == 1.0
+        assert prof[1] == -1.0
 
     def test_cross_of_identical_series_matches_auto(self, rng):
         x = rng.standard_normal(150)
         a = fw.autocovariance(x, 6)
         c = fw.crosscovariance(x, x, 6)
-        np.testing.assert_array_equal(a.values, c.values)
+        np.testing.assert_array_equal(a, c)
 
     def test_matches_double_loop(self, rng):
         x, z = rng.standard_normal((2, 120))
         np.testing.assert_allclose(
-            fw.autocovariance(x, 7).values, brute_autocovariance(x, 7), rtol=1e-12
+            fw.autocovariance(x, 7), brute_autocovariance(x, 7), rtol=1e-12
         )
         np.testing.assert_allclose(
-            fw.crosscovariance(x, z, 7).values,
+            fw.crosscovariance(x, z, 7),
             brute_crosscovariance(x, z, 7),
             rtol=1e-12,
             atol=1e-12,
         )
 
-    def test_kinds(self, rng):
-        x = rng.standard_normal(30)
-        assert fw.autocovariance(x, 2).kind == "covariance"
-        assert fw.crosscovariance(x, x, 2).kind == "cross_covariance"
-
 
 class TestLagProfileValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            fw.LagProfile("spectral", np.array([1.0]))
+    def test_correntropy_bounds_enforced(self, rng):
+        # a width this small underflows every off-lag kernel value to 0
+        x = rng.standard_normal(50)
+        with pytest.raises(ParameterError, match="correntropy entries"):
+            fw.autocorrentropy(x, 3, 1e-150)
+        with pytest.raises(ParameterError, match="correntropy entries"):
+            fw.crosscorrentropy(x, x[::-1].copy(), 3, 1e-150)
 
-    def test_correntropy_bounds_enforced(self):
-        with pytest.raises(ParameterError):
-            fw.LagProfile("correntropy", np.array([1.0, 1.5]))
-        with pytest.raises(ParameterError):
-            fw.LagProfile("correntropy", np.array([1.0, 0.0]))
-
-    def test_correntropy_lag_zero_pinned(self):
-        with pytest.raises(ParameterError):
-            fw.LagProfile("correntropy", np.array([0.99, 0.5]))
+    def test_correntropy_lag_zero_pinned(self, rng):
+        for sg in (0.05, 0.5, 1e3):
+            assert fw.autocorrentropy(rng.standard_normal(40), 4, sg)[0] == 1.0
 
     def test_covariance_unconstrained_sign(self):
-        prof = fw.LagProfile("covariance", np.array([1.0, -1.0]))
-        assert prof.values[1] == -1.0
+        x = np.array([1.0, -1.0] * 10)
+        assert fw.crosscovariance(x, -x, 2)[0] == -1.0
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ParameterError):
-            fw.LagProfile("covariance", np.array([1.0, np.nan]))
+    def test_non_finite_rejected(self, rng):
+        x = rng.standard_normal(30)
+        x[7] = np.nan
+        for estimate in (
+            lambda: fw.autocorrentropy(x, 3, 1.0),
+            lambda: fw.crosscorrentropy(x, x, 3, 1.0),
+            lambda: fw.autocovariance(x, 3),
+            lambda: fw.crosscovariance(x, x, 3),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                estimate()
 
 
 class TestToeplitz:
     def test_three_lag_example(self):
-        prof = fw.LagProfile("covariance", np.array([1.0, 0.5, 0.25]))
-        mat = fw.toeplitz(prof)
+        mat = fw.toeplitz(np.array([1.0, 0.5, 0.25]))
         np.testing.assert_array_equal(
-            mat.entries,
+            mat,
             [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]],
         )
 
     def test_exactly_symmetric(self, rng):
         prof = fw.autocorrentropy(rng.standard_normal(200), 12, 0.6)
         mat = fw.toeplitz(prof)
-        np.testing.assert_array_equal(mat.entries, mat.entries.T)
+        np.testing.assert_array_equal(mat, mat.T)
 
     def test_constant_diagonals(self, rng):
         prof = fw.autocovariance(rng.standard_normal(100), 5)
-        m = fw.toeplitz(prof).entries
+        m = fw.toeplitz(prof)
         for k in range(5):
-            np.testing.assert_array_equal(np.diag(m, k), np.full(5 - k, prof.values[k]))
-
-    def test_lag_matrix_rejects_asymmetry(self):
-        with pytest.raises(ParameterError):
-            fw.LagMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
+            np.testing.assert_array_equal(np.diag(m, k), np.full(5 - k, prof[k]))
 
     def test_lag_matrix_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            fw.LagMatrix(np.zeros((2, 3)))
+            fw.solve_weights(np.zeros((2, 3)), np.ones(2), 0.0)
 
 
 class TestRkhsInner:
     def test_unit_elements(self, rng):
         prof = fw.autocorrentropy(rng.standard_normal(100), 5, 1.0)
         assert oracles.rkhs_inner([(0, 1.0)], [(0, 1.0)], prof) == 1.0
-        assert oracles.rkhs_inner([(0, 1.0)], [(3, 1.0)], prof) == prof.values[3]
+        assert oracles.rkhs_inner([(0, 1.0)], [(3, 1.0)], prof) == prof[3]
 
     def test_matches_double_sum(self, rng):
         prof = fw.autocorrentropy(rng.standard_normal(100), 8, 0.9)
         a = [(0, 0.3), (2, -1.1), (5, 0.7)]
         b = [(1, 0.4), (3, 0.2), (7, -0.6)]
         ref = sum(
-            ca * cb * prof.values[abs(ta - tb)] for ta, ca in a for tb, cb in b
+            ca * cb * prof[abs(ta - tb)] for ta, ca in a for tb, cb in b
         )
         assert oracles.rkhs_inner(a, b, prof) == pytest.approx(ref, rel=1e-14)
 
@@ -338,18 +352,18 @@ class TestSilverman:
         # +-1 repeated: mean 0, population std exactly 1
         x = np.tile([1.0, -1.0], 50000)
         sg = fw.silverman_sigma(x)
-        assert sg.sigma == pytest.approx(1.06 * 100000 ** (-0.2), rel=1e-12)
-        assert sg.sigma == pytest.approx(0.106, rel=1e-12)
+        assert sg == pytest.approx(1.06 * 100000 ** (-0.2), rel=1e-12)
+        assert sg == pytest.approx(0.106, rel=1e-12)
 
     def test_scales_with_std(self):
         x = np.tile([1.0, -1.0], 500)
-        assert fw.silverman_sigma(3.0 * x).sigma == pytest.approx(
-            3.0 * fw.silverman_sigma(x).sigma, rel=1e-12
+        assert fw.silverman_sigma(3.0 * x) == pytest.approx(
+            3.0 * fw.silverman_sigma(x), rel=1e-12
         )
 
     def test_standardized_benchmark_range(self, mg_series):
         sg = fw.silverman_sigma(fw.Series(mg_series.values[:2000]))
-        assert 0.2 < sg.sigma < 0.4
+        assert 0.2 < sg < 0.4
 
     def test_constant_series(self):
         with pytest.raises(DegenerateSeriesError):
@@ -372,10 +386,10 @@ class TestLargeSigmaLimit:
             d = x[tau:] - x[:-tau]
             msd = float(np.mean(d * d))
             pred = msd / (2.0 * sigma * sigma)
-            actual = 1.0 - prof.values[tau]
+            actual = 1.0 - prof[tau]
             assert abs(actual - pred) / pred < 0.01
             # same statement through the covariance profile
-            pred_cov = (cov.values[0] - cov.values[tau]) / (sigma * sigma)
+            pred_cov = (cov[0] - cov[tau]) / (sigma * sigma)
             assert abs(actual - pred_cov) / pred_cov < 0.01
 
 
@@ -392,21 +406,21 @@ class TestAutoRidge:
         for _ in range(10):
             x = rng.standard_normal(400)
             V = fw.toeplitz(fw.autocorrentropy(x, 10, fw.silverman_sigma(x)))
-            m = V.entries + auto_ridge(V) * np.eye(10)
+            m = V + auto_ridge(V) * np.eye(10)
             scipy.linalg.cho_factor(m)  # raises if not SPD
 
     def test_escalates_on_indefinite_matrix(self):
-        m = fw.LagMatrix(np.array([[1.0, 1.1], [1.1, 1.0]]))  # eigenvalues 2.1, -0.1
+        m = np.array([[1.0, 1.1], [1.1, 1.0]])  # eigenvalues 2.1, -0.1
         ridge = auto_ridge(m)
         assert ridge == pytest.approx(0.2 + 1e-8, rel=1e-9)
-        assert np.linalg.eigvalsh(m.entries + ridge * np.eye(2)).min() > 0
+        assert np.linalg.eigvalsh(m + ridge * np.eye(2)).min() > 0
 
     def test_escalates_on_smooth_series(self):
         # densely sampled smooth series: correntropy matrix goes indefinite
         s = fw.standardize(fw.gen_mackey_glass(fw.MGParams(downsample=1), 1500))
         V = fw.toeplitz(fw.autocorrentropy(s, 10, 0.2))
-        lam_min = np.linalg.eigvalsh(V.entries).min()
+        lam_min = np.linalg.eigvalsh(V).min()
         assert lam_min < 1e-8  # the motivating failure mode
         ridge = auto_ridge(V)
         assert ridge > 1e-8
-        scipy.linalg.cho_factor(V.entries + ridge * np.eye(10))
+        scipy.linalg.cho_factor(V + ridge * np.eye(10))

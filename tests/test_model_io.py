@@ -45,7 +45,7 @@ class TestFwfRoundtrip:
 
 class TestBaselineRoundtrips:
     def test_wiener(self, fir_data, tmp_path, rng):
-        m = fw.wiener_fit(fir_data, 3)
+        m = fw.wiener_fit(fir_data)
         path = tmp_path / "w.npz"
         fw.save_model(m, path)
         back = fw.load_model(path)
@@ -63,7 +63,7 @@ class TestBaselineRoundtrips:
         back = fw.load_model(path)
         assert isinstance(back, fw.KafModel)
         assert back.variant == m.variant
-        assert back.sigma.sigma == m.sigma.sigma
+        assert back.sigma == m.sigma
         X = rng.standard_normal((20, 3))
         np.testing.assert_array_equal(fw.kaf_predict(m, X), fw.kaf_predict(back, X))
 
@@ -195,7 +195,7 @@ class TestLoadValidation:
     @pytest.mark.parametrize("horizon", [1.5, "2", None])
     def test_malformed_horizon(self, fir_data, tmp_path, horizon):
         path = tmp_path / "w.npz"
-        fw.save_model(fw.wiener_fit(fir_data, 3), path)
+        fw.save_model(fw.wiener_fit(fir_data), path)
         data = read_npz(path)
         np.savez(path, **{**data, "meta": json.dumps({"horizon": horizon})})
         with pytest.raises(DataError, match="malformed"):

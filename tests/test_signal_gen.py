@@ -56,9 +56,8 @@ def lorenz_rk4_step(state, p):
 
 class TestSeries:
     def test_basic(self):
-        s = fw.Series(np.array([1.0, 2.0, 3.0]), dt=0.5)
+        s = fw.Series(np.array([1.0, 2.0, 3.0]))
         assert len(s) == 3
-        assert s.dt == 0.5
         assert s.mean is None and s.std is None
 
     def test_rejects_non_finite(self):
@@ -141,10 +140,6 @@ class TestMackeyGlass:
     def test_warmup_must_cover_history(self):
         with pytest.raises(ParameterError, match="warmup"):
             fw.gen_mackey_glass(fw.MGParams(), 10, warmup=10)
-
-    def test_sample_spacing(self):
-        s = fw.gen_mackey_glass(fw.MGParams(), 10)
-        assert s.dt == pytest.approx(0.6)
 
 
 class TestLorenz:
