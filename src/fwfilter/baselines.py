@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConditioningError, DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 from .fwf_core import solve_weights
 from .kernel_stats import (
     autocovariance,
@@ -45,9 +45,16 @@ _KLMS_SLAB = 8192
 _PREDICT_CHUNK = 4096
 
 
-def _finite_windows(x: np.ndarray) -> None:
+def _windows(x, L: int) -> np.ndarray:
+    """``x`` as one window or a B x L batch of finite length-``L`` rows."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DimensionError("expected a window or a B x L batch")
+    if x.shape[-1] != L:
+        raise DimensionError("window length does not match the model order")
     if not np.isfinite(x).all():
         raise DataError("query windows must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -135,12 +142,7 @@ def wiener_fit(data: Dataset, *, ridge: float | str = "auto") -> WienerModel:
 
 def wiener_predict(m: WienerModel, x) -> float | np.ndarray:
     """Inner product of the weights with one window or a batch of rows."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise DimensionError("expected a window or a B x L batch")
-    if x.shape[-1] != m.order_L:
-        raise DimensionError("window length does not match filter order")
-    _finite_windows(x)
+    x = _windows(x, m.order_L)
     return float(np.dot(m.weights, x)) if x.ndim == 1 else x @ m.weights
 
 
@@ -184,15 +186,7 @@ def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))
-    from scipy.linalg import cho_factor, cho_solve
-
-    try:
-        factor = cho_factor(K + lam * np.eye(X.shape[0]), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"regularized Gram matrix not positive definite (lambda={lam:g})"
-        ) from exc
-    alpha = cho_solve(factor, z)
+    alpha = solve_weights(K, z, lam)
     return KafModel(X, alpha, sig, variant, data.horizon)
 
 
@@ -212,17 +206,11 @@ def krr_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
 
 def kaf_predict(m: KafModel, x) -> float | np.ndarray:
     """Evaluate the kernel expansion at one window or a batch of rows."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.ndim != 2:
-        raise DimensionError("expected a window or a B x L batch")
-    if X.shape[1] != m.centers.shape[1]:
-        raise DimensionError("window length does not match model centers")
-    _finite_windows(X)
+    x = _windows(x, m.order_L)
+    X = np.atleast_2d(x)
     inv2s2 = 1.0 / (2.0 * m.sigma**2)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _PREDICT_CHUNK):
         hi = min(lo + _PREDICT_CHUNK, X.shape[0])
         out[lo:hi] = np.exp(-_sq_dists(X[lo:hi], m.centers) * inv2s2) @ m.coefficients
-    return float(out[0]) if single else out
+    return float(out[0]) if x.ndim == 1 else out

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evalbench, fwf_core, model_io
+from . import evalbench, fwf_core, model_io
 from .errors import DataError, FilterError, ParameterError, check_int
 from .signal_gen import (
     Series,
@@ -138,14 +138,14 @@ def cmd_fit(args) -> int:
     tic = time.perf_counter()
     model = fit_fn(data)
     fit_seconds = time.perf_counter() - tic
-    if isinstance(model, fwf_core.FwfModel):
+    if model.kind == "fwf":
         train_mse = model.train_mse  # computed by fit; no second self-query
     else:
         train_mse = evalbench.mse(model.predict(data.windows), data.targets)
     model_io.save_model(model, args.out)
     print(f"fitted {method} on {len(data)} windows in {fit_seconds:.3f} s")
     print("training MSE %.17g" % train_mse)
-    if isinstance(model, baselines.WienerModel):
+    if model.kind == "wiener":
         print("weights", " ".join("%.17g" % w for w in model.weights))
     _echo_config(
         {**cfg, "method": method, "order_L": L, "horizon": horizon,
@@ -224,7 +224,6 @@ def cmd_bench(args) -> int:
         timing_sizes,
         repeats=sweep["repeats"],
         queries=sweep["queries"],
-        seed=cfg.seed,
         hyper=timing_hyper,
     )
     evalbench.write_timing_csv(timing, out_dir / "timing.csv")

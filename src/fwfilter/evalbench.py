@@ -323,11 +323,16 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Fit every configured method at every training size, score per fold.
 
+    Every method's hyperparameters are checked before any data are made.
     Each method is fitted once per training size on the first N training
     rows and evaluated on every fold's test block.  A cell whose fit or
     predict raises a :class:`FilterError` is recorded in the error list and
     the run continues; any other exception propagates.
     """
+    fitters = [
+        (m["name"], make_fitter(m["name"], m, cfg.order_L, cfg.horizon))
+        for m in cfg.methods
+    ]
     gap = cfg.order_L + cfg.horizon
     need = max(cfg.train_sizes) + gap + cfg.folds * cfg.test_size
     data = make_dataset(cfg, need)
@@ -338,9 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
             f"largest requested size is {max(cfg.train_sizes)}"
         )
     table = ResultTable()
-    for spec in cfg.methods:
-        name = spec["name"]
-        fit_fn = make_fitter(name, spec, cfg.order_L, cfg.horizon)
+    for name, fit_fn in fitters:
         for n_train in cfg.train_sizes:
             sub = _subset(data, n_train)
             try:
@@ -396,22 +399,21 @@ def timing_scaling(
     sizes,
     repeats: int = 5,
     queries: int = 2000,
-    seed: int = 0,
     hyper: dict | None = None,
 ) -> TimingTable:
     """Median fit and per-query predict wall times across training sizes.
 
-    Data come from one Mackey-Glass run large enough for the biggest size
-    plus a held-out query block; per-query time divides a batched predict
-    over ``queries`` windows.  Slopes are least-squares fits on log-log
-    points, so ``sizes`` needs at least 3 values.
+    Data come from one Mackey-Glass run, which needs no seed, large enough
+    for the biggest size plus a held-out query block; per-query time divides
+    a batched predict over ``queries`` windows.  Slopes are least-squares
+    fits on log-log points, so ``sizes`` needs at least 3 values.
     """
     sizes, fit_fn = check_timing(
         {"method": method, "sizes": sizes, "repeats": repeats, "queries": queries},
         hyper,
     )
     n = sizes[-1] + queries + 10  # L - 1 + horizon samples beyond the rows
-    series = make_series("mackey_glass", {"downsample": 1}, seed, n)
+    series = make_series("mackey_glass", {"downsample": 1}, 0, n)
     data = embed(standardize(series), 10, 1)
     query_windows = data.windows[len(data) - queries :]
     fit_med, pred_med = [], []

@@ -140,13 +140,14 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     c, info = lapack.dpotrf(A_r, lower=1, clean=0)
     if info > 0:
         raise ConditioningError(
-            f"correntropy system not positive definite (pivot {info}); "
+            f"regularized system not positive definite (pivot {info}); "
             f"increase the ridge (current {ridge:g})",
             pivot=info,
         )
-    w = cho_solve((c, True), b)
+    # A_r is checked above; a non-finite factor fails the residual check
+    w = cho_solve((c, True), np.asarray_chkfinite(b), check_finite=False)
     resid = np.linalg.norm(A_r @ w - b)
-    if resid > RESIDUAL_TOL * np.linalg.norm(b):
+    if not resid <= RESIDUAL_TOL * np.linalg.norm(b):
         raise ConditioningError(
             f"weight solve residual {resid:.3e} exceeds tolerance; "
             "the system is too ill-conditioned"

@@ -58,18 +58,6 @@ def _values(s) -> np.ndarray:
     return v
 
 
-def _profile(vals, correntropy: bool) -> np.ndarray:
-    """A lag profile as an array; user data can make either check fail."""
-    v = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("profile entries must be finite")
-    if correntropy and not np.all(v > 0):
-        raise ParameterError(
-            "correntropy entries must lie in (0, 1]; the kernel width is too small"
-        )
-    return v
-
-
 def gaussian(x, y, w) -> np.ndarray | float:
     """Unnormalized Gaussian kernel exp(-(x-y)^2 / (2 sigma^2)).
 
@@ -98,38 +86,32 @@ def gaussian_inverse(g, w) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _check_length(n: int, L: int):
+def _lag_profile(x, z, L: int, stat, correntropy: bool) -> np.ndarray:
+    """Mean over t of stat(z(t), x(t - tau)) for tau = 0..L-1, for aligned
+    series; user data can make either entry check fail."""
+    xv, zv = _values(x), _values(z)
+    if len(xv) != len(zv):
+        raise AlignmentError("cross profile requires equal-length series")
+    n = len(xv)
     if L < 1:
         raise ParameterError("order L must be >= 1")
     # lag L-1 needs at least one sample pair
     if n < L:
         raise DimensionError(f"series of length {n} too short for L={L}")
-
-
-def _per_lag(a, b, lags, stat) -> list:
-    """Mean over t of stat(a(t), b(t - tau)) for each tau in ``lags``."""
-    n = len(a)
-    return [np.mean(stat(a[t:], b[: n - t])) for t in lags]
-
-
-def _cross_values(x, z, L):
-    xv, zv = _values(x), _values(z)
-    if len(xv) != len(zv):
-        raise AlignmentError("cross profile requires equal-length series")
-    _check_length(len(xv), L)
-    return xv, zv
+    v = np.array([np.mean(stat(zv[t:], xv[: n - t])) for t in range(L)])
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("profile entries must be finite")
+    if correntropy and not np.all(v > 0):
+        raise ParameterError(
+            "correntropy entries must lie in (0, 1]; the kernel width is too small"
+        )
+    return v
 
 
 def autocorrentropy(s, L: int, w) -> np.ndarray:
-    """Empirical auto-correntropy profile v(tau), tau = 0..L-1.
-
-    v(tau) = mean over t of G_sigma(X(t), X(t - tau)); v(0) = 1 exactly.
-    """
-    x = _values(s)
-    _check_length(len(x), L)
-    sg = check_width("sigma", w)
-    vals = _per_lag(x, x, range(1, L), lambda a, b: gaussian(a, b, sg))
-    return _profile([1.0, *vals], True)
+    """Empirical auto-correntropy profile v(tau), tau = 0..L-1: the
+    cross-correntropy of ``s`` with itself, so v(0) = 1 exactly."""
+    return _lag_profile(s, s, L, lambda a, b: gaussian(a, b, w), True)
 
 
 def crosscorrentropy(x, z, L: int, w) -> np.ndarray:
@@ -137,22 +119,18 @@ def crosscorrentropy(x, z, L: int, w) -> np.ndarray:
 
     P_v(tau) = mean over t of G_sigma(Z(t), X(t - tau)) for aligned series.
     """
-    xv, zv = _cross_values(x, z, L)
-    sg = check_width("sigma", w)
-    return _profile(_per_lag(zv, xv, range(L), lambda a, b: gaussian(a, b, sg)), True)
+    return _lag_profile(x, z, L, lambda a, b: gaussian(a, b, w), True)
 
 
 def autocovariance(s, L: int) -> np.ndarray:
-    """Empirical autocovariance profile for a zero-mean series."""
-    x = _values(s)
-    _check_length(len(x), L)
-    return _profile(_per_lag(x, x, range(L), np.multiply), False)
+    """Empirical autocovariance profile for a zero-mean series: the
+    cross-covariance of ``s`` with itself."""
+    return _lag_profile(s, s, L, np.multiply, False)
 
 
 def crosscovariance(x, z, L: int) -> np.ndarray:
     """Empirical cross-covariance profile for aligned zero-mean series."""
-    xv, zv = _cross_values(x, z, L)
-    return _profile(_per_lag(zv, xv, range(L), np.multiply), False)
+    return _lag_profile(x, z, L, np.multiply, False)
 
 
 def toeplitz(profile) -> np.ndarray:

@@ -71,6 +71,22 @@ def compute_partner(x, g: GVector, alpha: float, w) -> np.ndarray:
     return x - alpha * gaussian_inverse(gv, w)
 
 
+def autocorrentropy(x, L: int, w) -> np.ndarray:
+    """Auto-correntropy profile with v(0) pinned to 1 and lags 1..L-1
+    averaged over their sample pairs."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    rest = [np.mean(gaussian(x[t:], x[: n - t], w)) for t in range(1, L)]
+    return np.array([1.0, *rest])
+
+
+def autocovariance(x, L: int) -> np.ndarray:
+    """Autocovariance profile: the mean lagged product per lag."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    return np.array([np.mean(x[t:] * x[: n - t]) for t in range(L)])
+
+
 def rkhs_inner(coef_a, coef_b, profile: np.ndarray) -> float:
     """Inner product of two finite expansions under a lag profile.
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fwfilter as fw
+from fwfilter import baselines
 from fwfilter.cli import main
 
 
@@ -595,6 +596,28 @@ class TestBench:
         out = tmp_path / "o"
         code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
         assert_one_line_error(code, stderr, key)
+        assert not out.exists()
+
+    def test_every_method_checked_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # a bad hyperparameter in a later method stops the run before the
+        # earlier methods fit at any size
+        fits = []
+        krls_fit = baselines.krls_fit
+        monkeypatch.setattr(
+            baselines, "krls_fit", lambda d, **kw: fits.append(1) or krls_fit(d, **kw)
+        )
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30,
+             "methods": [{"name": "krls", "sigma": 1.0},
+                         {"name": "wiener", "ridge": "x"}],
+             "timing": {"sizes": [50, 100, 200], "repeats": 1, "queries": 20}},
+        )
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert_one_line_error(code, stderr, "ridge")
+        assert fits == []
         assert not out.exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):

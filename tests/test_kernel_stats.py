@@ -278,16 +278,29 @@ class TestLagProfileValidation:
         assert fw.crosscovariance(x, -x, 2)[0] == -1.0
 
     def test_non_finite_rejected(self, rng):
-        x = rng.standard_normal(30)
-        x[7] = np.nan
-        for estimate in (
-            lambda: fw.autocorrentropy(x, 3, 1.0),
-            lambda: fw.crosscorrentropy(x, x, 3, 1.0),
-            lambda: fw.autocovariance(x, 3),
-            lambda: fw.crosscovariance(x, x, 3),
-        ):
-            with pytest.raises(ParameterError, match="finite"):
-                estimate()
+        for bad in (np.nan, np.inf):
+            x = rng.standard_normal(30)
+            x[7] = bad
+            for estimate in (
+                lambda: fw.autocorrentropy(x, 3, 1.0),
+                lambda: fw.crosscorrentropy(x, x, 3, 1.0),
+                lambda: fw.autocovariance(x, 3),
+                lambda: fw.crosscovariance(x, x, 3),
+            ):
+                with pytest.raises(ParameterError, match="finite"):
+                    estimate()
+
+    @pytest.mark.parametrize("N,L,sg", [(5, 1, 1.0), (7, 7, 0.3), (200, 10, 1.7)])
+    def test_auto_profiles_match_reference(self, rng, N, L, sg):
+        # the auto estimators are the cross estimators of a series with
+        # itself; their output bits equal the direct auto formulas
+        x = rng.standard_normal(N)
+        np.testing.assert_array_equal(
+            fw.autocorrentropy(x, L, sg), oracles.autocorrentropy(x, L, sg)
+        )
+        np.testing.assert_array_equal(
+            fw.autocovariance(x, L), oracles.autocovariance(x, L)
+        )
 
 
 class TestToeplitz:
