@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError, check_nonneg
 from .fwf_core import solve_weights
 from .kernel_stats import (
     autocovariance,
@@ -136,7 +136,7 @@ def wiener_fit(data: Dataset, *, ridge: float | str = "auto") -> WienerModel:
         from .kernel_stats import auto_ridge
 
         ridge = auto_ridge(R)
-    w = solve_weights(R, P, float(ridge))
+    w = solve_weights(R, P, check_nonneg("ridge", ridge))
     return WienerModel(w, data.horizon)
 
 
@@ -158,8 +158,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     blocks are accumulated with matrix kernels; the result matches the scalar
     recursion to rounding.
     """
-    if eta < 0:
-        raise ParameterError("eta must be non-negative")
+    eta = check_nonneg("eta", eta)
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     N = X.shape[0]
@@ -181,8 +180,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
 
 
 def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
-    if lam < 0:
-        raise ParameterError("lambda must be non-negative")
+    lam = check_nonneg("lam", lam)
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))

@@ -113,7 +113,7 @@ def cmd_generate(args) -> int:
 
 
 # config keys every task command reads itself; the rest are hyperparameters
-_TASK_KEYS = ("order_L", "horizon", "standardize", "seed")
+_TASK_KEYS = ("order_L", "horizon", "standardize")
 
 
 def _task(cfg: dict, L: int, horizon: int):
@@ -158,12 +158,14 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
     model = model_io.load_model(args.model)
-    L, horizon, _ = _task(cfg, model.order_L, model.horizon)
+    L, horizon, rest = _task(cfg, model.order_L, model.horizon)
     if L != model.order_L:
         raise ParameterError(
             f"config order_L={L} does not match model order_L={model.order_L}"
         )
-    k = cfg.get("k_neighbors")
+    k = rest.pop("k_neighbors", None)
+    if rest:
+        raise ParameterError(f"unknown predict config keys: {sorted(rest)}")
     if k is not None:
         if model.kind != "fwf":
             raise ParameterError("k_neighbors applies only to fwf models")
@@ -190,28 +192,14 @@ def cmd_predict(args) -> int:
 def cmd_bench(args) -> int:
     raw = _load_json(args.config)
     timing_cfg = raw.pop("timing", None)
-    known = {f.name for f in dataclasses.fields(evalbench.ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParameterError(f"unknown bench config fields: {sorted(unknown)}")
-    if "dataset" not in raw:
-        raise ParameterError("bench config must set dataset")
     if args.seed is not None:
         raw["seed"] = args.seed
-    cfg = evalbench.ExperimentConfig(**raw)
-    if timing_cfg is None:
-        timing_cfg = {}
-    if not isinstance(timing_cfg, dict):
-        raise ParameterError("bench config timing must be a JSON object")
-    sweep = {"method": cfg.methods[0]["name"], "sizes": cfg.train_sizes,
-             "queries": 1000, "repeats": 5, **timing_cfg}
-    timing_hyper = next(
-        (dict(m) for m in cfg.methods if m["name"] == sweep["method"]), {}
-    )
-    timing_hyper.pop("name", None)
-    # validate the sweep before the experiment writes anything
-    timing_sizes, _ = evalbench.check_timing(sweep, timing_hyper)
-
+    try:
+        cfg = evalbench.ExperimentConfig(**raw)
+    except TypeError as exc:  # an unknown or missing field
+        raise ParameterError(f"invalid bench config: {exc}") from exc
+    # check the sweep before the experiment writes anything
+    sweep, hyper = evalbench.check_timing(timing_cfg, cfg)
     # the experiment generates the series first, so a bad generator key
     # exits before the output directory exists
     table = evalbench.run_experiment(cfg)
@@ -219,13 +207,7 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     evalbench.write_results_csv(table, out_dir / "results.csv")
     summary = evalbench.summarize(table)
-    timing = evalbench.timing_scaling(
-        sweep["method"],
-        timing_sizes,
-        repeats=sweep["repeats"],
-        queries=sweep["queries"],
-        hyper=timing_hyper,
-    )
+    timing = evalbench.timing_scaling(**sweep, hyper=hyper)
     evalbench.write_timing_csv(timing, out_dir / "timing.csv")
     summary["timing"] = {
         "method": timing.method,
@@ -234,8 +216,7 @@ def cmd_bench(args) -> int:
         "predict_slope": timing.predict_slope(),
     }
     evalbench.write_summary_json(summary, out_dir / "summary.json")
-    timing_echo = {**sweep, "sizes": timing_sizes}
-    _echo_config({**dataclasses.asdict(cfg), "timing": timing_echo}, out_dir)
+    _echo_config({**dataclasses.asdict(cfg), "timing": sweep}, out_dir)
     print(
         f"wrote {len(table.rows)} result rows "
         f"({len(table.errors)} errored cells) to {out_dir / 'results.csv'}"

@@ -3,8 +3,8 @@
 Two families matter to the command-line layer: configuration/validation
 problems (exit code 2) and runtime/data problems (exit code 3).  Every
 exception carries its family in ``exit_code`` so the CLI can map errors
-without inspecting types one by one.  ``check_int`` and ``check_real``
-are the scalar checks behind the configuration family.
+without inspecting types one by one.  ``check_int``, ``check_real`` and
+``check_nonneg`` are the scalar checks behind the configuration family.
 """
 
 import numbers
@@ -81,3 +81,11 @@ def check_real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def check_nonneg(key: str, value) -> float:
+    """``value`` as a float if it is a non-negative finite real number."""
+    v = check_real(key, value)
+    if not 0 <= v < float("inf"):
+        raise ParameterError(f"{key} must be a finite number >= 0, got {value!r}")
+    return v

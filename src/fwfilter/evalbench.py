@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, fwf_core
-from .errors import FilterError, ParameterError, check_int, check_real
+from .errors import FilterError, ParameterError, check_int, check_nonneg, check_real
 from .kernel_stats import check_width
 from .signal_gen import (
     Dataset,
@@ -57,6 +57,10 @@ METHODS = ("fwf", "wiener", "klms", "krls", "krr")
 
 RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
 TIMING_HEADER = "method,n_train,fit_seconds,predict_us_per_query"
+
+# the timing sweep's task (order L, horizon), default repeats and queries
+_SWEEP_TASK = (10, 1)
+_SWEEP_REPEATS, _SWEEP_QUERIES = 5, 1000
 
 
 def _sizes(key: str, values, least: int) -> tuple[int, ...]:
@@ -303,18 +307,16 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
         raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
     if name == "wiener":
         ridge = hyper.pop("ridge", "auto")
-        if ridge != "auto":
-            ridge = check_real("ridge", ridge)
-        args = {"ridge": ridge}
+        args = {"ridge": ridge if ridge == "auto" else check_nonneg("ridge", ridge)}
     else:
         sigma = hyper.pop("sigma", None)
         if sigma is not None:
             sigma = check_width("sigma", sigma)
         args = {"sigma": sigma}
         if name == "klms":
-            args["eta"] = check_real("eta", hyper.pop("eta", 0.5))
+            args["eta"] = check_nonneg("eta", hyper.pop("eta", 0.5))
         else:
-            args["lam"] = check_real("lam", hyper.pop("lam", 1e-6))
+            args["lam"] = check_nonneg("lam", hyper.pop("lam", 1e-6))
     if hyper:
         raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
     return lambda d: getattr(baselines, f"{name}_fit")(d, **args)
@@ -374,31 +376,42 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def check_timing(timing: dict, hyper=None):
-    """Validate a timing sweep before it runs.
+def _check_sweep(method, sizes, repeats, queries, hyper):
+    """``sizes`` as a tuple of >= 3 ascending sizes and the fit the sweep
+    times, after checking every argument; fwf defaults to alpha 0.5."""
+    sizes = _sizes("sizes", sizes, 3)
+    check_int("repeats", repeats, 1)
+    check_int("queries", queries, 1)
+    hyper = dict(hyper or {})
+    if method == "fwf" and "alpha" not in hyper:
+        # fixed alpha: grid search would only rescale the constant factor
+        hyper["alpha"] = 0.5
+    return sizes, make_fitter(method, hyper, *_SWEEP_TASK)
 
-    ``timing`` maps each of ``method``, ``sizes``, ``repeats`` and
-    ``queries`` to its value; any other key is rejected.  Returns ``sizes`` as a tuple and the validated fit the sweep
-    times; fwf without an ``alpha`` is timed at the fixed alpha 0.5.
-    """
+
+def check_timing(timing, cfg: ExperimentConfig):
+    """The sweep dict (``method``, ``sizes``, ``repeats``, ``queries``) and
+    hyperparameters (the method's entry in ``cfg.methods``, or none) that
+    :func:`timing_scaling` takes, checked; the ``timing`` block (``None`` if
+    absent) overrides the first method, ``cfg.train_sizes`` and the defaults."""
+    timing = {} if timing is None else timing
+    if not isinstance(timing, dict):
+        raise ParameterError("bench config timing must be a JSON object")
     unknown = set(timing) - {"method", "sizes", "repeats", "queries"}
     if unknown:
         raise ParameterError(f"unknown timing fields: {sorted(unknown)}")
-    sizes = _sizes("sizes", timing["sizes"], 3)
-    check_int("repeats", timing["repeats"], 1)
-    check_int("queries", timing["queries"], 1)
-    hyper = dict(hyper or {})
-    if timing["method"] == "fwf" and "alpha" not in hyper:
-        # fixed alpha: grid search would only rescale the constant factor
-        hyper["alpha"] = 0.5
-    return sizes, make_fitter(timing["method"], hyper, 10, 1)
+    sweep = {"method": cfg.methods[0]["name"], "sizes": cfg.train_sizes,
+             "repeats": _SWEEP_REPEATS, "queries": _SWEEP_QUERIES, **timing}
+    hyper = next((m for m in cfg.methods if m["name"] == sweep["method"]), {})
+    sweep["sizes"], _ = _check_sweep(**sweep, hyper=hyper)
+    return sweep, hyper
 
 
 def timing_scaling(
     method: str,
     sizes,
-    repeats: int = 5,
-    queries: int = 2000,
+    repeats: int = _SWEEP_REPEATS,
+    queries: int = _SWEEP_QUERIES,
     hyper: dict | None = None,
 ) -> TimingTable:
     """Median fit and per-query predict wall times across training sizes.
@@ -408,19 +421,15 @@ def timing_scaling(
     a batched predict over ``queries`` windows.  Slopes are least-squares
     fits on log-log points, so ``sizes`` needs at least 3 values.
     """
-    sizes, fit_fn = check_timing(
-        {"method": method, "sizes": sizes, "repeats": repeats, "queries": queries},
-        hyper,
-    )
-    n = sizes[-1] + queries + 10  # L - 1 + horizon samples beyond the rows
+    sizes, fit_fn = _check_sweep(method, sizes, repeats, queries, hyper)
+    n = sizes[-1] + queries + sum(_SWEEP_TASK) - 1  # L - 1 + horizon beyond the rows
     series = make_series("mackey_glass", {"downsample": 1}, 0, n)
-    data = embed(standardize(series), 10, 1)
+    data = embed(standardize(series), *_SWEEP_TASK)
     query_windows = data.windows[len(data) - queries :]
     fit_med, pred_med = [], []
     for n in sizes:
         sub = _subset(data, n)
         fit_times, pred_times = [], []
-        model = None
         for _ in range(repeats):
             tic = time.perf_counter()
             model = fit_fn(sub)

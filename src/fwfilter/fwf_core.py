@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
 from .errors import ConditioningError, DimensionError, ParameterError
-from .errors import check_int, check_real
+from .errors import check_int, check_nonneg, check_real
 from .kernel_stats import (
     auto_ridge,
     autocorrentropy,
@@ -85,8 +85,8 @@ class FwfConfig:
                 check_width(key, getattr(self, key))
         if self.alpha != "auto" and not 0 < check_real("alpha", self.alpha) < np.inf:
             raise ParameterError("alpha must be a positive finite real or 'auto'")
-        if self.ridge != "auto" and not 0 <= check_real("ridge", self.ridge) < np.inf:
-            raise ParameterError("ridge must be a non-negative finite real or 'auto'")
+        if self.ridge != "auto":
+            check_nonneg("ridge", self.ridge)
 
 
 @dataclass

@@ -36,6 +36,9 @@ __all__ = [
     "auto_ridge",
 ]
 
+# auto_ridge's base ridge as a fraction of the mean diagonal entry
+_RIDGE_SCALE = 1e-8
+
 
 def check_width(key: str, w) -> float:
     """``w`` as a float if it is a usable kernel width: a real whose ``2 w**2``
@@ -51,10 +54,12 @@ def check_width(key: str, w) -> float:
 
 
 def _values(s) -> np.ndarray:
-    """Accept a Series or a 1-d array."""
+    """The samples of a Series or a 1-d array, which must be finite."""
     v = np.asarray(getattr(s, "values", s), dtype=float)
     if v.ndim != 1:
         raise DimensionError("expected a 1-d series")
+    if not np.isfinite(v).all():
+        raise ParameterError("series samples must be finite")
     return v
 
 
@@ -155,16 +160,16 @@ def resolve_width(w, x) -> float:
     return silverman_sigma(x) if w is None else check_width("sigma", w)
 
 
-def auto_ridge(mat, base_scale: float = 1e-8) -> float:
+def auto_ridge(mat) -> float:
     """Ridge that guarantees a positive-definite system.
 
-    Starts from the default ``base_scale * trace / L``; when the smallest
+    Starts from the base ``_RIDGE_SCALE * trace / L``; when the smallest
     eigenvalue does not clear that base (correntropy matrices of smooth
     series can be indefinite), escalates to ``2 |lambda_min| + base``.
     """
     m = np.asarray(mat, dtype=float)
     L = m.shape[0]
-    base = base_scale * np.trace(m) / L
+    base = _RIDGE_SCALE * np.trace(m) / L
     lam = scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0]
     if lam > base:
         return float(base)

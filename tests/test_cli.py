@@ -260,7 +260,14 @@ class TestFit:
     @pytest.mark.parametrize(
         "hyper", [{"method": "klms", "eta": "x"}, {"method": "klms", "sigma": "x"},
                   {"method": "krls", "lam": "x"}, {"method": "wiener", "ridge": "x"},
-                  {"method": "fwf", "sigma_input": "x"}],
+                  {"method": "fwf", "sigma_input": "x"},
+                  {"method": "wiener", "ridge": float("inf")},
+                  {"method": "wiener", "ridge": float("nan")},
+                  {"method": "wiener", "ridge": -5},
+                  {"method": "krls", "lam": float("nan")},
+                  {"method": "krls", "lam": float("inf")},
+                  {"method": "klms", "eta": float("nan")},
+                  {"method": "klms", "eta": float("inf")}],
     )
     def test_non_numeric_hyperparameter_rejected(
         self, tmp_path, capsys, mg_csv, hyper
@@ -292,6 +299,19 @@ class TestFit:
         assert key in stderr
         assert len(stderr.strip().splitlines()) == 1
         assert "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg", [("fit", {"method": "fwf", "seed": 123}), ("tune", {"seed": 1})]
+    )
+    def test_seed_key_rejected(self, tmp_path, capsys, mg_csv, command, cfg):
+        # neither command reads a seed
+        out = tmp_path / "out.json"
+        code, _, stderr = run(
+            capsys, command, "--config", write_json(tmp_path / "c.json", cfg),
+            "--series", mg_csv, "--out", str(out),
+        )
+        assert_one_line_error(code, stderr, "seed")
         assert not out.exists()
 
     def test_width_too_small_for_the_series(self, tmp_path, capsys):
@@ -443,6 +463,17 @@ class TestPredict:
         )
         assert code == 2
         assert "k_neighbors" in stderr and len(stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_unread_key_rejected(self, tmp_path, capsys, mg_csv):
+        model_path = self.fit_model(tmp_path, capsys, mg_csv)
+        cfg = write_json(tmp_path / "pred.json", {"k_neighbour": 7})
+        out = tmp_path / "p.csv"
+        code, _, stderr = run(
+            capsys, "predict", "--config", cfg, "--model", str(model_path),
+            "--series", mg_csv, "--out", str(out),
+        )
+        assert_one_line_error(code, stderr, "k_neighbour")
         assert not out.exists()
 
     def test_missing_model_file(self, tmp_path, capsys, mg_csv):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -395,6 +396,24 @@ class TestTimingScaling:
         assert all(t > 0 for t in table.predict_seconds_per_query)
         assert np.isfinite(table.fit_slope())
         assert np.isfinite(table.predict_slope())
+
+    def test_bench_sweep_defaults_are_timing_scaling_defaults(self):
+        cfg = eb.ExperimentConfig(
+            dataset="fir", train_sizes=(100, 200, 300),
+            methods=({"name": "klms", "eta": 0.3}, {"name": "wiener"}),
+        )
+        sweep, hyper = eb.check_timing(None, cfg)
+        defaults = inspect.signature(eb.timing_scaling).parameters
+        assert sweep == {
+            "method": "klms", "sizes": (100, 200, 300),
+            "repeats": defaults["repeats"].default,
+            "queries": defaults["queries"].default,
+        }
+        assert (sweep["repeats"], sweep["queries"]) == (5, 1000)
+        assert hyper == {"name": "klms", "eta": 0.3}
+        sweep, hyper = eb.check_timing({"method": "wiener", "queries": 7}, cfg)
+        assert (sweep["method"], sweep["queries"]) == ("wiener", 7)
+        assert hyper == {"name": "wiener"}
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -286,6 +286,7 @@ class TestLagProfileValidation:
                 lambda: fw.crosscorrentropy(x, x, 3, 1.0),
                 lambda: fw.autocovariance(x, 3),
                 lambda: fw.crosscovariance(x, x, 3),
+                lambda: fw.silverman_sigma(x),
             ):
                 with pytest.raises(ParameterError, match="finite"):
                     estimate()
