@@ -150,6 +150,15 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, "sqeuclidean")
 
 
+def check_eta(key: str, value) -> float:
+    """``value`` as a float if it is a KLMS step size in [0, 2] (see
+    :func:`klms_fit`)."""
+    eta = check_nonneg(key, value)
+    if eta > 2.0:
+        raise ParameterError(f"{key} must be at most 2 for KLMS, got {value!r}")
+    return eta
+
+
 def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     """One pass of the kernel LMS recursion over the training set.
 
@@ -157,8 +166,13 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     with the empty-model prediction defined as 0.  Contributions from earlier
     blocks are accumulated with matrix kernels; the result matches the scalar
     recursion to rounding.
+
+    Adding a center scales the error at its own sample by 1 - eta k(x, x),
+    and k(x, x) = 1 for the Gaussian kernel, so a step size above 2 amplifies
+    errors and is rejected (Liu, Pokharel and Principe, "The Kernel
+    Least-Mean-Square Algorithm", IEEE TSP 2008).
     """
-    eta = check_nonneg("eta", eta)
+    eta = check_eta("eta", eta)
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
     N = X.shape[0]

@@ -47,7 +47,7 @@ def _load_json(path) -> dict:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer over 4300 digits
         raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")

@@ -9,6 +9,12 @@ without inspecting types one by one.  ``check_int``, ``check_real`` and
 
 import numbers
 
+__all__ = [
+    "FilterError", "ConfigError", "ParameterError", "DimensionError", "AlignmentError",
+    "DomainError", "DataError", "DegenerateSeriesError", "IntegrationDivergenceError",
+    "ConditioningError", "check_int", "check_real", "check_nonneg",
+]
+
 
 class FilterError(Exception):
     """Base class for all toolkit errors."""
@@ -77,10 +83,14 @@ def check_int(key: str, value, minimum: int) -> int:
 
 
 def check_real(key: str, value) -> float:
-    """``value`` as a float if it is a real number; bools and strings fail."""
+    """``value`` as a float if it is a real number in the double range; bools
+    and strings fail."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest double
+        raise ParameterError(f"{key} is beyond the double range") from None
 
 
 def check_nonneg(key: str, value) -> float:

@@ -53,7 +53,17 @@ __all__ = [
 ]
 
 DATASETS = ("mackey_glass", "lorenz", "fir")
-METHODS = ("fwf", "wiener", "klms", "krls", "krr")
+
+# each baseline's hyperparameters and their checks; a key a config leaves
+# out takes the default of baselines.<name>_fit
+_SIGMA = {"sigma": lambda k, v: v if v is None else check_width(k, v)}
+_BASELINE_KEYS = {
+    "wiener": {"ridge": lambda k, v: v if v == "auto" else check_nonneg(k, v)},
+    "klms": {**_SIGMA, "eta": baselines.check_eta},
+    "krls": {**_SIGMA, "lam": check_nonneg},
+    "krr": {**_SIGMA, "lam": check_nonneg},
+}
+METHODS = ("fwf", *_BASELINE_KEYS)
 
 RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
 TIMING_HEADER = "method,n_train,fit_seconds,predict_us_per_query"
@@ -294,9 +304,9 @@ def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
 def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     """Validated fit for one method: fit(Dataset) -> model.
 
-    Every model it returns has ``order_L`` and a batch ``predict(X)``.  The
-    fit function is looked up when the fit runs, so a module attribute
-    wrapped after this call is still the one called.
+    Every model it returns has ``order_L`` and a batch ``predict(X)``.  A
+    baseline fit gets only the keys ``hyper`` sets, and is looked up when it
+    runs, so a module attribute wrapped after this call is still the one called.
     """
     hyper = dict(hyper)
     hyper.pop("name", None)
@@ -305,20 +315,11 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
         return lambda d: fwf_core.fit(d, cfg)
     if name not in METHODS:
         raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
-    if name == "wiener":
-        ridge = hyper.pop("ridge", "auto")
-        args = {"ridge": ridge if ridge == "auto" else check_nonneg("ridge", ridge)}
-    else:
-        sigma = hyper.pop("sigma", None)
-        if sigma is not None:
-            sigma = check_width("sigma", sigma)
-        args = {"sigma": sigma}
-        if name == "klms":
-            args["eta"] = check_nonneg("eta", hyper.pop("eta", 0.5))
-        else:
-            args["lam"] = check_nonneg("lam", hyper.pop("lam", 1e-6))
-    if hyper:
-        raise ParameterError(f"unknown {name} parameters: {sorted(hyper)}")
+    checks = _BASELINE_KEYS[name]
+    unknown = sorted(set(hyper) - set(checks))
+    if unknown:
+        raise ParameterError(f"unknown {name} parameters: {unknown}")
+    args = {k: checks[k](k, v) for k, v in hyper.items()}
     return lambda d: getattr(baselines, f"{name}_fit")(d, **args)
 
 

@@ -145,6 +145,13 @@ class Dataset:
         return self.windows.shape[0]
 
 
+def _sample_count(total: int) -> int:
+    """``total`` if numpy can size an array of that many doubles."""
+    if total > np.iinfo(np.intp).max // 8:
+        raise ParameterError("the requested series is too long for any array")
+    return total
+
+
 def gen_mackey_glass(
     p: MGParams, n: int, warmup: int = 3000, init: float = 1.2
 ) -> Series:
@@ -169,7 +176,7 @@ def gen_mackey_glass(
 
     hist = [float(init)] * slots
     x = float(init)
-    total = warmup + n * p.downsample
+    total = _sample_count(warmup + n * p.downsample)
     out = np.empty(total)
     idx = 0
     for i in range(total):
@@ -207,7 +214,7 @@ def gen_lorenz(
     # scalar floats: the same IEEE operations as the 3-vector form, without
     # a numpy call per stage
     x, y, z = (float(v) for v in init)
-    total = warmup + n * p.downsample
+    total = _sample_count(warmup + n * p.downsample)
     out = np.empty(total)
     for i in range(total):
         out[i] = x
@@ -246,7 +253,7 @@ def gen_fir_process(coeffs, n: int, noise_seed: int) -> tuple[Series, Series]:
     if n < 1:
         raise ParameterError("n must be >= 1")
     rng = np.random.default_rng(noise_seed)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(_sample_count(n))
     z = np.convolve(coeffs, x)[:n]
     return Series(x), Series(z)
 

@@ -179,6 +179,21 @@ class TestKlms:
         with pytest.raises(ParameterError):
             fw.klms_fit(data, eta=-0.1)
 
+    @pytest.mark.parametrize(
+        "eta", [2.0 + 1e-12, 3.0, 1e300, pytest.param(10**400, id="1e400")]
+    )
+    def test_divergent_eta_rejected(self, eta):
+        # each step scales the new sample's error by 1 - eta, so eta > 2
+        # amplifies it
+        data = white_identity_data(50, 5, 3)
+        with pytest.raises(ParameterError, match="eta"):
+            fw.klms_fit(data, eta=eta)
+
+    def test_eta_two_is_accepted(self):
+        data = white_identity_data(50, 5, 3)
+        m = fw.klms_fit(data, eta=2.0, sigma=1.0)
+        assert np.isfinite(m.coefficients).all()
+
 
 class TestKrls:
     def test_single_sample_solution(self):

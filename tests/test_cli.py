@@ -115,7 +115,12 @@ class TestGenerate:
         "cfg,key",
         [({"dataset": "wavelet", "n": 100}, "wavelet"),
          ({"dataset": "fir", "n": 100, "seed": "x"}, "seed"),
-         ({"dataset": "fir", "n": 100.0}, "n")],
+         ({"dataset": "fir", "n": 100.0}, "n"),
+         # sample counts past np.intp fail before anything is allocated
+         ({"dataset": "mackey_glass", "n": 10**23}, "too long"),
+         ({"dataset": "fir", "n": 10**23}, "too long"),
+         ({"dataset": "lorenz", "n": 10, "warmup": 10**23}, "too long"),
+         ({"dataset": "mackey_glass", "n": 10, "downsample": 10**400}, "too long")],
     )
     def test_bad_top_level_key(self, tmp_path, capsys, cfg, key):
         path = write_json(tmp_path / "gen.json", cfg)
@@ -123,6 +128,15 @@ class TestGenerate:
         code, _, stderr = run(capsys, "generate", "--config", path, "--out", str(out))
         assert_one_line_error(code, stderr, key)
         assert not out.exists()
+
+    def test_integer_over_the_digit_limit(self, tmp_path, capsys):
+        # json refuses integers of more than 4300 digits with a ValueError
+        path = tmp_path / "gen.json"
+        path.write_text('{"dataset": "fir", "n": %s}' % ("1" * 5000))
+        code, _, stderr = run(
+            capsys, "generate", "--config", str(path), "--out", str(tmp_path / "x.csv")
+        )
+        assert_one_line_error(code, stderr, "JSON")
 
     def test_missing_n(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json", {"dataset": "lorenz"})
@@ -267,7 +281,13 @@ class TestFit:
                   {"method": "krls", "lam": float("nan")},
                   {"method": "krls", "lam": float("inf")},
                   {"method": "klms", "eta": float("nan")},
-                  {"method": "klms", "eta": float("inf")}],
+                  {"method": "klms", "eta": float("inf")},
+                  # integers past the double range, and KLMS steps that diverge
+                  {"method": "fwf", "alpha": 10**400},
+                  {"method": "fwf", "sigma_input": -(10**400)},
+                  {"method": "wiener", "ridge": 10**400},
+                  {"method": "klms", "eta": 10**400},
+                  {"method": "klms", "eta": 5}, {"method": "klms", "eta": 2.1}],
     )
     def test_non_numeric_hyperparameter_rejected(
         self, tmp_path, capsys, mg_csv, hyper
@@ -630,25 +650,37 @@ class TestBench:
         assert not out.exists()
 
     def test_every_method_checked_before_any_fit(self, tmp_path, capsys, monkeypatch):
-        # a bad hyperparameter in a later method stops the run before the
-        # earlier methods fit at any size
+        # a bad hyperparameter in a later method, a divergent KLMS step
+        # included, stops the run before the earlier methods fit at any size
         fits = []
         krls_fit = baselines.krls_fit
         monkeypatch.setattr(
             baselines, "krls_fit", lambda d, **kw: fits.append(1) or krls_fit(d, **kw)
         )
+        for bad in ({"name": "wiener", "ridge": "x"}, {"name": "klms", "eta": 6}):
+            cfg = write_json(
+                tmp_path / "bench.json",
+                {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+                 "test_size": 30, "methods": [{"name": "krls", "sigma": 1.0}, bad],
+                 "timing": {"sizes": [50, 100, 200], "repeats": 1, "queries": 20}},
+            )
+            out = tmp_path / "o"
+            code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+            assert_one_line_error(code, stderr, list(bad)[1])
+            assert fits == []
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["test_size", "folds"])
+    def test_sample_count_beyond_any_array(self, tmp_path, capsys, key):
         cfg = write_json(
             tmp_path / "bench.json",
             {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
-             "test_size": 30,
-             "methods": [{"name": "krls", "sigma": 1.0},
-                         {"name": "wiener", "ridge": "x"}],
-             "timing": {"sizes": [50, 100, 200], "repeats": 1, "queries": 20}},
+             "test_size": 30, "methods": [{"name": "wiener"}],
+             "timing": {"sizes": [50, 100, 200]}, key: 10**23},
         )
         out = tmp_path / "o"
         code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
-        assert_one_line_error(code, stderr, "ridge")
-        assert fits == []
+        assert_one_line_error(code, stderr, "too long")
         assert not out.exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):

@@ -5,6 +5,10 @@ configuration with one key replaced by an arbitrary JSON value ends in exit
 0, 2 or 3, with at most one line on stderr.  An exception escaping ``main``
 (a traceback at the command line) fails the test, and so does a numpy
 ``RuntimeWarning``, which the suite turns into an error.
+
+Every key also draws a 401-digit integer, past the double range and every
+array size, except ``timing.repeats``: a huge repeat count is a valid sweep
+that never ends, not an error.
 """
 
 import contextlib
@@ -19,12 +23,14 @@ from hypothesis import example, given, settings, strategies as st
 import fwfilter as fw
 from fwfilter.cli import main
 
+HUGE = 10**400
+
 # JSON values of every kind: wrong types, non-finite and out-of-range
 # numbers, and small in-range ones
 VALUES = st.one_of(
     st.sampled_from(
         [True, False, "x", "auto", None, [], [1.0], {},
-         float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 0.0]
+         float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 0.0, HUGE]
     ),
     st.integers(1, 12),
     st.floats(0.05, 1.0),
@@ -101,10 +107,9 @@ def put(doc, dotted, value):
 
 
 def values_for(key):
-    """VALUES for ``key``, less the valid KLMS step sizes above 2: they make
-    the recursion diverge, a numerical failure, not a configuration error."""
-    if key.endswith("eta"):
-        return VALUES.filter(lambda v: type(v) not in (int, float) or v <= 2)
+    """VALUES for ``key``, less HUGE for ``timing.repeats``."""
+    if key == "timing.repeats":
+        return VALUES.filter(lambda v: v != HUGE)
     return VALUES
 
 
@@ -125,6 +130,10 @@ def fit_cases(draw):
 @example(("krls", "lam", float("inf")))
 @example(("klms", "eta", float("nan")))
 @example(("klms", "eta", float("inf")))
+# integers past the double range, and KLMS steps that diverge
+@example(("fwf", "alpha", HUGE))
+@example(("klms", "eta", HUGE))
+@example(("klms", "eta", 5))
 def test_fit_contract(files, case):
     method, key, value = case
     series, _ = files
@@ -164,6 +173,10 @@ def bench_cases(draw):
 
 @SETTINGS
 @given(bench_cases())
+# a divergent KLMS step, and sample counts no array can hold
+@example(("methods.2.eta", 6))
+@example(("test_size", HUGE))
+@example(("generator.downsample", HUGE))
 def test_bench_contract(case):
     cfg = {
         "dataset": "mackey_glass", "generator": {"downsample": 1},

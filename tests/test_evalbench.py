@@ -370,6 +370,23 @@ class TestMakeFitter:
         assert "baselines.krls_fit" in names
         assert "baselines.kaf_predict" in names
 
+    @pytest.mark.parametrize("name", ["wiener", "klms", "krls", "krr"])
+    def test_baseline_defaults_are_the_fit_defaults(self, name):
+        # no key, or every key at its signature default, fits the same model
+        # bit for bit as the fit function called with no keywords
+        data = toy_dataset(n_samples=60, L=3, horizon=1)
+        fit = getattr(fw.baselines, f"{name}_fit")
+        params = list(inspect.signature(fit).parameters.values())[1:]
+        want = fit(data)
+        for hyper in ({}, {p.name: p.default for p in params}):
+            got = eb.make_fitter(name, hyper, 3, 1)(data)
+            assert type(got) is type(want)
+            for key, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(got, key).tobytes() == value.tobytes(), key
+                else:
+                    assert getattr(got, key) == value, key
+
 
 @pytest.mark.parametrize("name", eb.METHODS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
