@@ -1,7 +1,7 @@
 """Reference filters: linear Wiener, KLMS, KRLS, and kernel ridge regression.
 
 The kernel adaptive models share one container; KRLS and KRR are the same
-batch regularized Gram solution here and differ only by variant tag.  KLMS
+batch regularized Gram solution here, so ``krr_fit`` is ``krls_fit``.  KLMS
 keeps the standard online recursion semantics but evaluates it in blocks so
 large runs stay matrix-bound.
 """
@@ -35,7 +35,7 @@ __all__ = [
     "kaf_predict",
 ]
 
-KAF_VARIANTS = ("klms", "krls", "krr")
+KAF_VARIANTS = ("klms", "krls")
 
 # within-block sequential span for the KLMS recursion
 _KLMS_BLOCK = 1024
@@ -193,27 +193,21 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     return KafModel(X, alpha, sig, "klms", data.horizon)
 
 
-def _gram_solve(data: Dataset, lam: float, sigma, variant: str) -> KafModel:
-    lam = check_nonneg("lam", lam)
-    sig = resolve_width(sigma, data.source_x)
-    X, z = data.windows, data.targets
-    K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))
-    alpha = solve_weights(K, z, lam)
-    return KafModel(X, alpha, sig, variant, data.horizon)
-
-
 def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     """Batch solution of the regularized Gram system (K + lambda I) a = z.
 
     The exact recursive update converges to the same coefficients, so the
     batch solve is the contract.
     """
-    return _gram_solve(data, lam, sigma, "krls")
+    lam = check_nonneg("lam", lam)
+    sig = resolve_width(sigma, data.source_x)
+    X, z = data.windows, data.targets
+    K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))
+    alpha = solve_weights(K, z, lam)
+    return KafModel(X, alpha, sig, "krls", data.horizon)
 
 
-def krr_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
-    """Kernel ridge regression; identical estimator to krls_fit."""
-    return _gram_solve(data, lam, sigma, "krr")
+krr_fit = krls_fit
 
 
 def kaf_predict(m: KafModel, x) -> float | np.ndarray:

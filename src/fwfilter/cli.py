@@ -198,23 +198,22 @@ def cmd_bench(args) -> int:
         cfg = evalbench.ExperimentConfig(**raw)
     except TypeError as exc:  # an unknown or missing field
         raise ParameterError(f"invalid bench config: {exc}") from exc
-    # check the sweep before the experiment writes anything
+    # check the sweep before the experiment runs
     sweep, hyper = evalbench.check_timing(timing_cfg, cfg)
-    # the experiment generates the series first, so a bad generator key
-    # exits before the output directory exists
+    # a failure in the experiment or the sweep exits before any file exists
     table = evalbench.run_experiment(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    evalbench.write_results_csv(table, out_dir / "results.csv")
-    summary = evalbench.summarize(table)
     timing = evalbench.timing_scaling(**sweep, hyper=hyper)
-    evalbench.write_timing_csv(timing, out_dir / "timing.csv")
+    summary = evalbench.summarize(table)
     summary["timing"] = {
         "method": timing.method,
         "sizes": list(timing.sizes),
         "fit_slope": timing.fit_slope(),
         "predict_slope": timing.predict_slope(),
     }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    evalbench.write_results_csv(table, out_dir / "results.csv")
+    evalbench.write_timing_csv(timing, out_dir / "timing.csv")
     evalbench.write_summary_json(summary, out_dir / "summary.json")
     _echo_config({**dataclasses.asdict(cfg), "timing": sweep}, out_dir)
     print(
@@ -233,6 +232,8 @@ def cmd_tune(args) -> int:
     cfg = _load_json(args.config)
     L, horizon, hyper = _task(cfg, 10, 1)
     grid = hyper.pop("grid", None)
+    if "alpha" in hyper:
+        raise ParameterError("tune searches alpha; remove the alpha key")
     if grid is not None:
         grid = evalbench._reals("grid", grid)
     fwf_cfg = evalbench.fwf_config(hyper, L, horizon)

@@ -61,8 +61,8 @@ _BASELINE_KEYS = {
     "wiener": {"ridge": lambda k, v: v if v == "auto" else check_nonneg(k, v)},
     "klms": {**_SIGMA, "eta": baselines.check_eta},
     "krls": {**_SIGMA, "lam": check_nonneg},
-    "krr": {**_SIGMA, "lam": check_nonneg},
 }
+_BASELINE_KEYS["krr"] = _BASELINE_KEYS["krls"]  # krr_fit is krls_fit
 METHODS = ("fwf", *_BASELINE_KEYS)
 
 RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
@@ -239,28 +239,28 @@ def make_series(dataset: str, params: dict, seed: int, n: int):
         raise ParameterError(f"generator must be a JSON object, got {params!r}")
     p = dict(params)
     n = check_int("n", p.pop("n", n), 1)
+    # warmup and init keep the generator's defaults unless params set them
+    checks = {"warmup": lambda k, v: check_int(k, v, 0)}
     if dataset == "mackey_glass":
-        warmup = check_int("warmup", p.pop("warmup", 3000), 0)
-        init = check_real("init", p.pop("init", 1.2))
+        checks["init"] = check_real
         gen, cls = gen_mackey_glass, MGParams
     elif dataset == "lorenz":
-        warmup = check_int("warmup", p.pop("warmup", 1000), 0)
-        init = tuple(_reals("init", p.pop("init", (1.0, 1.0, 1.0))))
+        checks["init"] = lambda k, v: tuple(_reals(k, v))
         gen, cls = gen_lorenz, LorenzParams
     elif dataset == "fir":
         coeffs = _reals("coeffs", p.pop("coeffs", (0.3, -0.2, 0.1)))
-        noise_seed = check_int("noise_seed", p.pop("noise_seed", seed), 0)
-        cls = None
+        checks, cls = {}, None
     else:
         raise ParameterError(
             f"unknown dataset {dataset!r}; valid: {', '.join(DATASETS)}"
         )
+    kw = {k: check(k, p.pop(k)) for k, check in checks.items() if k in p}
     unknown = sorted(set(p) - set(cls.__dataclass_fields__ if cls else ()))
     if unknown:
         raise ParameterError(f"unknown {dataset} parameters: {unknown}")
     if cls is None:
-        return gen_fir_process(coeffs, n, noise_seed)
-    return gen(cls(**p), n, warmup=warmup, init=init)
+        return gen_fir_process(coeffs, n, check_int("seed", seed, 0))
+    return gen(cls(**p), n, **kw)
 
 
 def make_dataset(cfg: ExperimentConfig, n_rows: int) -> Dataset:

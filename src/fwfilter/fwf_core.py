@@ -62,7 +62,8 @@ class FwfConfig:
     """Hyperparameters for the nearest-neighbor functional filter.
 
     ``sigma_input=None`` selects Silverman's rule on the training input;
-    ``sigma_weight=None`` reuses ``sigma_input``; ``alpha="auto"`` tunes the
+    the same width serves the weight kernel of the partner step, since a
+    second width would only rescale alpha.  ``alpha="auto"`` tunes the
     output scale on the training set over ``DEFAULT_ALPHA_GRID``;
     ``ridge="auto"`` uses the smallest ridge that keeps the correntropy
     system positive definite.
@@ -70,7 +71,6 @@ class FwfConfig:
 
     order_L: int
     sigma_input: float | None = None
-    sigma_weight: float | None = None
     alpha: float | str = "auto"
     k_neighbors: int = 2
     ridge: float | str = "auto"
@@ -80,9 +80,8 @@ class FwfConfig:
         check_int("order_L", self.order_L, 1)
         check_int("k_neighbors", self.k_neighbors, 1)
         check_int("horizon", self.horizon, 0)
-        for key in ("sigma_input", "sigma_weight"):
-            if getattr(self, key) is not None:
-                check_width(key, getattr(self, key))
+        if self.sigma_input is not None:
+            check_width("sigma_input", self.sigma_input)
         if self.alpha != "auto" and not 0 < check_real("alpha", self.alpha) < np.inf:
             raise ParameterError("alpha must be a positive finite real or 'auto'")
         if self.ridge != "auto":
@@ -100,7 +99,6 @@ class FwfModel:
     bias: float
     config: FwfConfig
     sigma_input: float
-    sigma_weight: float
     alpha: float
     ridge: float
     train_mse: float
@@ -279,7 +277,6 @@ def _prepare(data: Dataset, cfg: FwfConfig):
         )
     x = data.source_x
     s_in = resolve_width(cfg.sigma_input, x)
-    s_w = s_in if cfg.sigma_weight is None else resolve_width(cfg.sigma_weight, x)
     V = toeplitz(autocorrentropy(x, cfg.order_L, s_in))
     Pv = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
     ridge = auto_ridge(V) if cfg.ridge == "auto" else float(cfg.ridge)
@@ -287,12 +284,12 @@ def _prepare(data: Dataset, cfg: FwfConfig):
     # kernel similarity of each target to each weight, floored so the
     # inverse stays finite; the inverse distances are the alpha-independent
     # partner offsets
-    g = np.maximum(gaussian(weights[None, :], data.targets[:, None], s_w), G_FLOOR)
+    g = np.maximum(gaussian(weights[None, :], data.targets[:, None], s_in), G_FLOOR)
     offsets = gaussian_inverse(g, s_in)
     index = neighbors.build(data.windows)
     k_eff = min(cfg.k_neighbors, len(data))
     nbr_idx, _ = neighbors.query_batch(index, data.windows, k_eff)
-    return s_in, s_w, ridge, weights, offsets, index, nbr_idx
+    return s_in, ridge, weights, offsets, index, nbr_idx
 
 
 def _train_stats(raw, targets):
@@ -332,7 +329,7 @@ def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
         raise ParameterError("alpha grid must be non-empty")
     if not np.all((grid > 0) & (grid < np.inf)):
         raise ParameterError("alpha grid entries must be positive and finite")
-    s_in, _, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
+    s_in, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
     alphas, _, best = _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
     return float(alphas[best])
 
@@ -343,7 +340,7 @@ def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     With ``alpha="auto"`` the grid search of :func:`tune_alpha` runs inline
     on the same precomputed state; a fixed alpha is a one-point grid.
     """
-    s_in, s_w, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
+    s_in, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
     grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else [float(cfg.alpha)]
     alphas, stats, best = _search_alpha(
         data, grid, s_in, weights, offsets, nbr_idx
@@ -359,7 +356,6 @@ def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
         bias=bias,
         config=cfg,
         sigma_input=s_in,
-        sigma_weight=s_w,
         alpha=alpha,
         ridge=ridge,
         train_mse=mse,

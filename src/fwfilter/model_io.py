@@ -28,8 +28,7 @@ FORMAT_VERSION = 1
 # each kind's array members and meta scalars, in file order
 _FIELDS = {
     "fwf": (("weights", "partners", "train_windows", "train_targets"),
-            ("config", "sigma_input", "sigma_weight", "alpha", "ridge", "bias",
-             "train_mse")),
+            ("config", "sigma_input", "alpha", "ridge", "bias", "train_mse")),
     "wiener": (("weights",), ("horizon",)),
     **dict.fromkeys(KAF_VARIANTS, (("centers", "coefficients"), ("sigma", "horizon"))),
 }
@@ -42,6 +41,8 @@ def _to_json(value):
 
 def _from_json(name: str, value):
     if name == "config":
+        value = {**value}  # a TypeError unless the config is an object
+        value.pop("sigma_weight", None)  # files from before it was removed
         return FwfConfig(**value)
     return operator.index(value) if name == "horizon" else float(value)
 
@@ -68,7 +69,8 @@ def load_model(path):
         raise DataError(f"unreadable model file {path}: {exc}") from exc
     try:
         version = int(data["format_version"])
-        kind = str(data["kind"])
+        # krr files from before it became a name of the krls fit
+        kind = {"krr": "krls"}.get(str(data["kind"]), str(data["kind"]))
         meta = json.loads(str(data["meta"]))
     except (KeyError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

@@ -55,6 +55,9 @@ BAD_GENERATOR_KEYS = [
     ("fir", {"coeffs": "x"}, "coeffs"),
     ("fir", {"noise_seed": 1.5}, "noise_seed"),
 ]
+# valid values of removed generator keys: the fir noise is seeded by the task
+# seed alone
+REMOVED_GENERATOR_KEYS = [("fir", {"noise_seed": 3}, "noise_seed")]
 
 
 def assert_one_line_error(code, stderr, key):
@@ -103,7 +106,9 @@ class TestGenerate:
         assert code == 2
         assert "tau_delay" in stderr
 
-    @pytest.mark.parametrize("dataset,params,key", BAD_GENERATOR_KEYS)
+    @pytest.mark.parametrize(
+        "dataset,params,key", BAD_GENERATOR_KEYS + REMOVED_GENERATOR_KEYS
+    )
     def test_bad_generator_key(self, tmp_path, capsys, dataset, params, key):
         cfg = write_json(tmp_path / "gen.json", {"dataset": dataset, "n": 100, **params})
         out = tmp_path / "x.csv"
@@ -305,7 +310,9 @@ class TestFit:
         "key, value",
         [("k_neighbors", True), ("alpha", True), ("ridge", True), ("ridge", None),
          ("alpha", float("inf")), ("ridge", float("inf")), ("ridge", float("nan")),
-         ("sigma_weight", 1e-300), ("sigma_input", 1e200)],
+         ("sigma_weight", 1e-300), ("sigma_input", 1e200),
+         # one width serves both kernels; a second one only rescaled alpha
+         ("sigma_weight", 0.5)],
     )
     def test_bad_fwf_config_value_rejected(
         self, tmp_path, capsys, mg_csv, key, value
@@ -635,7 +642,8 @@ class TestBench:
     @pytest.mark.parametrize(
         "dataset,params,key",
         BAD_GENERATOR_KEYS + [("mackey_glass", 5, "generator"),
-                              ("mackey_glass", {"n": "x"}, "n")],
+                              ("mackey_glass", {"n": "x"}, "n")]
+        + REMOVED_GENERATOR_KEYS,
     )
     def test_bad_generator_block(self, tmp_path, capsys, dataset, params, key):
         cfg = write_json(
@@ -683,6 +691,29 @@ class TestBench:
         assert_one_line_error(code, stderr, "too long")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "method, sizes, code, key",
+        [({"name": "wiener"}, [50, 100, 10**23], 2, "too long"),
+         ({"name": "krls", "lam": 0, "sigma": 5}, [50, 100, 200], 3,
+          "positive definite")],
+    )
+    def test_sweep_failure_writes_nothing(
+        self, tmp_path, capsys, method, sizes, code, key
+    ):
+        # the sweep runs after the experiment; neither writes a file
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30, "methods": [method],
+             "timing": {"sizes": sizes, "repeats": 1, "queries": 20}},
+        )
+        out = tmp_path / "o"
+        got, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert got == code
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert key in stderr
+        assert not out.exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bench.json", {"dataset": "fir", "optimizer": "adam"}
@@ -716,6 +747,19 @@ class TestTune:
         )
         assert code == 0
         assert json.loads(out.read_text())["alpha"] in (0.2, 0.4)
+
+    def test_alpha_key_rejected(self, tmp_path, capsys, mg_csv):
+        # the search sets alpha; a fixed one would be silently ignored
+        cfg = write_json(
+            tmp_path / "tune.json",
+            {"order_L": 5, "sigma_input": 1.0, "alpha": 123.0, "grid": [0.1, 0.2]},
+        )
+        out = tmp_path / "alpha.json"
+        code, stdout, stderr = run(
+            capsys, "tune", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert_one_line_error(code, stderr, "alpha")
+        assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "grid", [[True, 0.5], ["x"], 5, [[0.1]], [float("inf"), 0.5]]

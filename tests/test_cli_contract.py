@@ -37,7 +37,7 @@ VALUES = st.one_of(
 )
 
 FIT_KEYS = {
-    "fwf": ["sigma_input", "sigma_weight", "alpha", "k_neighbors", "ridge"],
+    "fwf": ["sigma_input", "alpha", "k_neighbors", "ridge"],
     "wiener": ["ridge"],
     "klms": ["sigma", "eta"],
     "krls": ["sigma", "lam"],

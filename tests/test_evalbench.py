@@ -136,10 +136,27 @@ class TestMakeSeries:
         np.testing.assert_array_equal(x.values, rx.values)
         np.testing.assert_array_equal(z.values, rz.values)
 
-    def test_fir_explicit_noise_seed_wins(self):
-        x, _ = eb.make_series("fir", {"noise_seed": 3}, 7, 100)
-        rx, _ = fw.gen_fir_process([0.3, -0.2, 0.1], 100, noise_seed=3)
-        np.testing.assert_array_equal(x.values, rx.values)
+    def test_fir_noise_seed_key_rejected(self):
+        # the run seed is the one seed of the fir noise
+        with pytest.raises(ParameterError, match="noise_seed"):
+            eb.make_series("fir", {"noise_seed": 3}, 7, 100)
+
+    @pytest.mark.parametrize(
+        "dataset, gen, cls",
+        [("mackey_glass", "gen_mackey_glass", fw.MGParams),
+         ("lorenz", "gen_lorenz", fw.LorenzParams)],
+    )
+    def test_unset_warmup_and_init_take_the_generator_defaults(
+        self, monkeypatch, dataset, gen, cls
+    ):
+        calls = []
+        original = getattr(eb, gen)
+        monkeypatch.setattr(
+            eb, gen, lambda *a, **kw: calls.append(kw) or original(*a, **kw)
+        )
+        s = eb.make_series(dataset, {"downsample": 3}, 0, 40)
+        assert calls == [{}]
+        assert s.values.tobytes() == original(cls(downsample=3), 40).values.tobytes()
 
     def test_generator_params_forwarded(self):
         s = eb.make_series("mackey_glass", {"downsample": 2, "warmup": 3000}, 0, 50)

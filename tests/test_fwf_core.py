@@ -25,7 +25,10 @@ def small_model(small_data):
 class TestFwfConfig:
     def test_defaults(self):
         cfg = fw.FwfConfig(order_L=10)
-        assert cfg.sigma_input is None and cfg.sigma_weight is None
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "order_L", "sigma_input", "alpha", "k_neighbors", "ridge", "horizon"
+        ]
+        assert cfg.sigma_input is None
         assert cfg.alpha == "auto" and cfg.ridge == "auto"
         assert cfg.k_neighbors == 2 and cfg.horizon == 1
 
@@ -52,7 +55,7 @@ class TestFwfConfig:
             {"order_L": 10, "ridge": None},
             {"order_L": 10, "ridge": float("nan")},
             {"order_L": 10, "sigma_input": "x"},
-            {"order_L": 10, "sigma_weight": -1.0},
+            {"order_L": 10, "sigma_input": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -220,7 +223,8 @@ class TestFit:
         assert np.all(np.isfinite(m.partners))
         assert m.n_train == len(small_data)
         assert m.train_mse >= 0.0 and np.isfinite(m.bias)
-        assert m.alpha == 0.3 and m.sigma_input == 0.5 and m.sigma_weight == 0.5
+        assert m.alpha == 0.3 and m.sigma_input == 0.5
+        assert not hasattr(m, "sigma_weight")
 
     def test_weights_satisfy_normal_equations(self, small_data, small_model):
         m = small_model
@@ -235,7 +239,7 @@ class TestFit:
     def test_partners_follow_definition(self, small_data, small_model):
         m = small_model
         for i in (0, 41, 333):
-            g = oracles.compute_g(small_data.targets[i], m.weights, m.sigma_weight)
+            g = oracles.compute_g(small_data.targets[i], m.weights, m.sigma_input)
             ref = oracles.compute_partner(
                 small_data.windows[i], g, m.alpha, m.sigma_input
             )
@@ -386,7 +390,7 @@ def chunk_series():
 
 
 def search_and_oracle(data, cfg, grid):
-    s_in, _, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
+    s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
     args = (data, grid, s_in, weights, offsets, nbr_idx)
     return fwf_core._search_alpha(*args), oracles.alpha_search(*args)
 

@@ -81,7 +81,6 @@ class TestKernelWidth:
         data = fw.embed(s, 10, 1)
         entries = [
             lambda: fw.FwfConfig(order_L=10, sigma_input=sigma),
-            lambda: fw.FwfConfig(order_L=10, sigma_weight=sigma),
             lambda: fw.klms_fit(data, sigma=sigma),
             lambda: fw.krls_fit(data, sigma=sigma),
             lambda: fw.krr_fit(data, sigma=sigma),

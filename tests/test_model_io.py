@@ -55,7 +55,10 @@ class TestBaselineRoundtrips:
             fw.wiener_predict(m, X), fw.wiener_predict(back, X)
         )
 
-    @pytest.mark.parametrize("fit_fn", [fw.klms_fit, fw.krls_fit, fw.krr_fit])
+    @pytest.mark.parametrize(
+        "fit_fn", [fw.klms_fit, fw.krls_fit, fw.krr_fit],
+        ids=["klms_fit", "krls_fit", "krr_fit"],
+    )
     def test_kernel_models(self, fir_data, tmp_path, rng, fit_fn):
         m = fit_fn(fir_data, sigma=0.7)
         path = tmp_path / "m.npz"
@@ -97,12 +100,13 @@ class TestProtocolRoundtrip:
 # member names and meta keys of each kind, in file order
 LAYOUT = {
     "fwf": (["weights", "partners", "train_windows", "train_targets"],
-            ["config", "sigma_input", "sigma_weight", "alpha", "ridge", "bias",
-             "train_mse"]),
+            ["config", "sigma_input", "alpha", "ridge", "bias", "train_mse"]),
     "wiener": (["weights"], ["horizon"]),
     **{k: (["centers", "coefficients"], ["sigma", "horizon"])
-       for k in ("klms", "krls", "krr")},
+       for k in ("klms", "krls")},
 }
+# the kind each method's models save as; krr is the krls fit
+KIND = {**{name: name for name in evalbench.METHODS}, "krr": "krls"}
 
 
 def read_npz(path):
@@ -117,10 +121,10 @@ class TestEnvelope:
         path = tmp_path / "m.npz"
         fw.save_model(m, path)
         data = read_npz(path)
-        arrays, scalars = LAYOUT[name]
+        arrays, scalars = LAYOUT[KIND[name]]
         assert list(data) == ["format_version", "kind", *arrays, "meta"]
         assert int(data["format_version"]) == FORMAT_VERSION == 1
-        assert str(data["kind"]) == name
+        assert str(data["kind"]) == m.kind == KIND[name]
         assert list(json.loads(str(data["meta"]))) == scalars
 
     @pytest.mark.parametrize("name", evalbench.METHODS)
@@ -150,6 +154,32 @@ class TestEnvelope:
         X = rng.standard_normal((20, 3))
         assert back.predict(X).tobytes() == m.predict(X).tobytes()
 
+    def test_fwf_file_with_sigma_weight_loads(self, fir_data, tmp_path, rng):
+        # files from before sigma_weight was removed carry it in the config
+        # and the scalars; their stored partners already apply it
+        cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=0.4, horizon=0)
+        m = fw.fit(fir_data, cfg)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        data = read_npz(path)
+        meta = json.loads(str(data["meta"]))
+        meta["config"]["sigma_weight"] = meta["sigma_weight"] = 0.3
+        np.savez(path, **{**data, "meta": json.dumps(meta)})
+        back = fw.load_model(path)
+        assert back.config == cfg
+        X = rng.standard_normal((20, 3))
+        assert back.predict(X).tobytes() == m.predict(X).tobytes()
+
+    def test_krr_file_loads_as_krls(self, fir_data, tmp_path, rng):
+        m = fw.krls_fit(fir_data, sigma=0.7)
+        path = tmp_path / "m.npz"
+        fw.save_model(m, path)
+        np.savez(path, **{**read_npz(path), "kind": "krr"})
+        back = fw.load_model(path)
+        assert back.kind == "krls"
+        X = rng.standard_normal((20, 3))
+        assert back.predict(X).tobytes() == m.predict(X).tobytes()
+
 
 class TestLoadValidation:
     def test_missing_file(self, tmp_path):
@@ -176,7 +206,7 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="kind"):
             fw.load_model(path)
 
-    @pytest.mark.parametrize("corrupt", ["config_key", "missing_bias"])
+    @pytest.mark.parametrize("corrupt", ["config_key", "missing_bias", "config_type"])
     def test_malformed_fwf_meta(self, fir_data, tmp_path, corrupt):
         cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=0.4, horizon=0)
         path = tmp_path / "model.npz"
@@ -186,6 +216,8 @@ class TestLoadValidation:
         meta = json.loads(str(data["meta"]))
         if corrupt == "config_key":
             meta["config"]["momentum"] = 1.0
+        elif corrupt == "config_type":
+            meta["config"] = "fwf"
         else:
             del meta["bias"]
         np.savez(path, **{**data, "meta": json.dumps(meta)})
