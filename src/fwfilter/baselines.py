@@ -39,10 +39,15 @@ KAF_VARIANTS = ("klms", "krls")
 
 # within-block sequential span for the KLMS recursion
 _KLMS_BLOCK = 1024
-# center-axis slab for cross-block kernel accumulation (memory bound)
+# center-axis slab for cross-block kernel accumulation
 _KLMS_SLAB = 8192
-# query rows per kernel block in kaf_predict (memory bound)
-_PREDICT_CHUNK = 4096
+# rows per kernel block: a 32 x 8192 block (2 MB) stays in cache through
+# the distance, exp and matvec passes
+_PREDICT_CHUNK = 32
+# kaf_predict's row blocks before the chunking; numpy computes a block of
+# one row as a plain dot (see _kernel_matvec), and keeping these bounds
+# keeps the bits of such a row, as at B = 4097
+_PREDICT_BLOCK = 4096
 
 
 def _windows(x, L: int) -> np.ndarray:
@@ -150,6 +155,29 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, "sqeuclidean")
 
 
+def _kernel_matvec(X, C, coef, inv2s2, out, buf):
+    """``out = exp(-|X_r - C_c|^2 * inv2s2) @ coef``, ``_PREDICT_CHUNK`` rows
+    of ``X`` at a time, each block computed in place in the flat ``buf``
+    (room for ``_PREDICT_CHUNK + 1`` rows).
+
+    Every element takes the same operations as the one-block expression.
+    The BLAS matrix-vector product rounds a row the same in a chunk as in
+    the whole block when it runs on one thread, since the chunks start at
+    multiples of 32.  numpy computes a one-row product as a plain dot, which
+    rounds differently, so a lone last row joins the chunk before it.
+    """
+    n, lo = X.shape[0], 0
+    while lo < n:
+        hi = n if n - lo <= _PREDICT_CHUNK + 1 else lo + _PREDICT_CHUNK
+        k = buf[: (hi - lo) * C.shape[0]].reshape(hi - lo, C.shape[0])
+        cdist(X[lo:hi], C, "sqeuclidean", out=k)
+        np.negative(k, out=k)
+        np.multiply(k, inv2s2, out=k)
+        np.exp(k, out=k)
+        np.matmul(k, coef, out=out[lo:hi])
+        lo = hi
+
+
 def check_eta(key: str, value) -> float:
     """``value`` as a float if it is a KLMS step size in [0, 2] (see
     :func:`klms_fit`)."""
@@ -178,6 +206,8 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     N = X.shape[0]
     alpha = np.zeros(N)
     inv2s2 = 1.0 / (2.0 * sig * sig)
+    buf = np.empty((_PREDICT_CHUNK + 1) * min(_KLMS_SLAB, N))
+    part = np.empty(min(_KLMS_BLOCK, N))
     for lo in range(0, N, _KLMS_BLOCK):
         hi = min(lo + _KLMS_BLOCK, N)
         Xb = X[lo:hi]
@@ -185,11 +215,19 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
         carry = np.zeros(hi - lo)
         for s in range(0, lo, _KLMS_SLAB):
             e = min(s + _KLMS_SLAB, lo)
-            carry += np.exp(-_sq_dists(Xb, X[s:e]) * inv2s2) @ alpha[s:e]
+            _kernel_matvec(Xb, X[s:e], alpha[s:e], inv2s2, part[: hi - lo], buf)
+            carry += part[: hi - lo]
         Kb = np.exp(-_sq_dists(Xb, Xb) * inv2s2)
-        for r in range(hi - lo):
-            pred = carry[r] + float(np.dot(Kb[r, :r], alpha[lo : lo + r]))
-            alpha[lo + r] = eta * (z[lo + r] - pred)
+        # targets near the double limit can overflow an error; the check
+        # below reports it, so numpy's warning is noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(hi - lo):
+                pred = carry[r] + float(np.dot(Kb[r, :r], alpha[lo : lo + r]))
+                alpha[lo + r] = eta * (z[lo + r] - pred)
+        if not np.isfinite(alpha[lo:hi]).all():
+            raise DataError(
+                "KLMS coefficients are not finite; the targets are too large"
+            )
     return KafModel(X, alpha, sig, "klms", data.horizon)
 
 
@@ -216,7 +254,8 @@ def kaf_predict(m: KafModel, x) -> float | np.ndarray:
     X = np.atleast_2d(x)
     inv2s2 = 1.0 / (2.0 * m.sigma**2)
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _PREDICT_CHUNK):
-        hi = min(lo + _PREDICT_CHUNK, X.shape[0])
-        out[lo:hi] = np.exp(-_sq_dists(X[lo:hi], m.centers) * inv2s2) @ m.coefficients
+    buf = np.empty((_PREDICT_CHUNK + 1) * m.n_centers)
+    for lo in range(0, X.shape[0], _PREDICT_BLOCK):
+        hi = min(lo + _PREDICT_BLOCK, X.shape[0])
+        _kernel_matvec(X[lo:hi], m.centers, m.coefficients, inv2s2, out[lo:hi], buf)
     return float(out[0]) if x.ndim == 1 else out

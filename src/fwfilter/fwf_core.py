@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_solve, lapack
 
 from . import neighbors
-from .errors import ConditioningError, DimensionError, ParameterError
+from .errors import ConditioningError, DataError, DimensionError, ParameterError
 from .errors import check_int, check_nonneg, check_real
 from .kernel_stats import (
     auto_ridge,
@@ -293,9 +293,11 @@ def _prepare(data: Dataset, cfg: FwfConfig):
 
 
 def _train_stats(raw, targets):
-    """Training bias and MSE of one row of raw outputs."""
-    bias = float(np.mean(raw) - np.mean(targets))
-    mse = float(np.mean((raw - bias - targets) ** 2))
+    """Training bias and MSE of one row of raw outputs; targets near the
+    double limit give an infinite MSE, which :func:`_search_alpha` reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias = float(np.mean(raw) - np.mean(targets))
+        mse = float(np.mean((raw - bias - targets) ** 2))
     return bias, mse
 
 
@@ -304,6 +306,7 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
 
     Returns the sorted grid, the training ``(bias, mse)`` at each of its
     points, and the index of the lowest MSE; ties go to the smaller alpha.
+    Raises :class:`DataError` when no alpha has a finite MSE.
     """
     alphas = np.sort(grid)
     raw = _functional_outputs(
@@ -314,6 +317,10 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     for j, (_, mse) in enumerate(stats):
         if mse < best_mse:
             best, best_mse = j, mse
+    if best_mse == np.inf:
+        raise DataError(
+            "training MSE is not finite at any alpha; the targets are too large"
+        )
     return alphas, stats, best
 
 

@@ -12,6 +12,7 @@ i.e. the PCG64 generator).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,31 +171,28 @@ def gen_mackey_glass(
             f"warmup must cover the delay history ({slots} steps), got {warmup}"
         )
     beta, gamma, n_exp, step = p.beta, p.gamma, p.n_exp, p.step
-
-    def deriv(xc, xd):
-        return beta * xd / (1.0 + xd**n_exp) - gamma * xc
-
-    hist = [float(init)] * slots
+    # the last ``slots`` states, oldest first: popping one gives the delayed
+    # sample of the current step
+    hist = deque([float(init)] * slots)
     x = float(init)
     total = _sample_count(warmup + n * p.downsample)
     out = np.empty(total)
-    idx = 0
     for i in range(total):
         out[i] = x
-        xd = hist[idx]
+        xd = hist.popleft()
+        # the delayed term is the same in all four stages
         try:
-            k1 = step * deriv(x, xd)
-            k2 = step * deriv(x + 0.5 * k1, xd)
-            k3 = step * deriv(x + 0.5 * k2, xd)
-            k4 = step * deriv(x + k3, xd)
+            f = beta * xd / (1.0 + xd**n_exp)
         except OverflowError:
             raise IntegrationDivergenceError(i) from None
-        xn = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not math.isfinite(xn):
+        k1 = step * (f - gamma * x)
+        k2 = step * (f - gamma * (x + 0.5 * k1))
+        k3 = step * (f - gamma * (x + 0.5 * k2))
+        k4 = step * (f - gamma * (x + k3))
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not math.isfinite(x):
             raise IntegrationDivergenceError(i)
-        hist[idx] = xn
-        idx = (idx + 1) % slots
-        x = xn
+        hist.append(x)
     return Series(out[warmup :: p.downsample][:n])
 
 

@@ -4,14 +4,17 @@ The library evaluates these formulas in vectorized form inside
 ``fwf_core.fit`` and ``fwf_core.predict_batch``; the one-window and
 double-loop versions here state each formula directly so the tests can
 check the fast paths against them.  The straightforward earlier forms of
-three fast paths are kept too: the per-alpha search loop, the 3-vector
-Lorenz integrator and the neighbor correction layer built on
-``take_along_axis``.
+six fast paths are kept too: the per-alpha search loop, the 3-vector
+Lorenz integrator, the Mackey-Glass integrator with a ring-buffer history,
+the KLMS recursion and the kernel expansion with one kernel expression per
+block, and the neighbor correction layer built on ``take_along_axis``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from fwfilter.errors import (
     DimensionError,
@@ -158,6 +161,72 @@ def gen_lorenz_vector(p, n, warmup=1000, init=(1.0, 1.0, 1.0)) -> np.ndarray:
             if not np.all(np.isfinite(state)):
                 raise IntegrationDivergenceError(i)
     return out[warmup :: p.downsample][:n]
+
+
+def gen_mackey_glass_ring(p, n, warmup=3000, init=1.2) -> np.ndarray:
+    """Mackey-Glass RK4 with a ``deriv`` call per stage and a ring-indexed
+    history; returns the sampled series."""
+    slots = p.history_slots
+    beta, gamma, n_exp, step = p.beta, p.gamma, p.n_exp, p.step
+
+    def deriv(xc, xd):
+        return beta * xd / (1.0 + xd**n_exp) - gamma * xc
+
+    hist = [float(init)] * slots
+    x = float(init)
+    total = warmup + n * p.downsample
+    out = np.empty(total)
+    idx = 0
+    for i in range(total):
+        out[i] = x
+        xd = hist[idx]
+        try:
+            k1 = step * deriv(x, xd)
+            k2 = step * deriv(x + 0.5 * k1, xd)
+            k3 = step * deriv(x + 0.5 * k2, xd)
+            k4 = step * deriv(x + k3, xd)
+        except OverflowError:
+            raise IntegrationDivergenceError(i) from None
+        xn = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not math.isfinite(xn):
+            raise IntegrationDivergenceError(i)
+        hist[idx] = xn
+        idx = (idx + 1) % slots
+        x = xn
+    return out[warmup :: p.downsample][:n]
+
+
+def klms_coefficients(X, z, eta, sigma, block=1024, slab=8192) -> np.ndarray:
+    """KLMS recursion with each prior-block slab evaluated as one
+    ``exp(...) @ alpha`` expression over all rows of the block."""
+    N = X.shape[0]
+    alpha = np.zeros(N)
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    for lo in range(0, N, block):
+        hi = min(lo + block, N)
+        Xb = X[lo:hi]
+        carry = np.zeros(hi - lo)
+        for s in range(0, lo, slab):
+            e = min(s + slab, lo)
+            carry += np.exp(-cdist(Xb, X[s:e], "sqeuclidean") * inv2s2) @ alpha[s:e]
+        Kb = np.exp(-cdist(Xb, Xb, "sqeuclidean") * inv2s2)
+        for r in range(hi - lo):
+            pred = carry[r] + float(np.dot(Kb[r, :r], alpha[lo : lo + r]))
+            alpha[lo + r] = eta * (z[lo + r] - pred)
+    return alpha
+
+
+def kaf_predict(m, X, rows=4096):
+    """Kernel expansion at the rows of ``X``, one ``exp(...) @ coefficients``
+    expression per block of ``rows`` rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    inv2s2 = 1.0 / (2.0 * m.sigma**2)
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        hi = min(lo + rows, X.shape[0])
+        sq = cdist(X[lo:hi], m.centers, "sqeuclidean")
+        out[lo:hi] = np.exp(-sq * inv2s2) @ m.coefficients
+    return out
 
 
 def _ref_distances(points, q):

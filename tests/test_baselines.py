@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import fwfilter as fw
+import oracles
 from fwfilter import baselines
-from fwfilter.errors import ConditioningError, DimensionError, ParameterError
+from fwfilter.errors import ConditioningError, DataError, DimensionError, ParameterError
 
 
 def naive_klms(X, z, eta, sig):
@@ -22,6 +23,15 @@ def naive_klms(X, z, eta, sig):
 def white_identity_data(n, seed, L):
     x = fw.Series(np.random.default_rng(seed).standard_normal(n))
     return fw.embed_pair(x, x, L, 0)
+
+
+def huge_target_data(n, at, value):
+    """White input paired with itself as the desired signal, except for one
+    desired sample set to ``value``."""
+    x = np.random.default_rng(3).standard_normal(n)
+    z = x.copy()
+    z[at] = value
+    return fw.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
 
 
 class TestWienerModel:
@@ -169,6 +179,34 @@ class TestKlms:
         ref = naive_klms(data.windows, data.targets, 0.5, 0.9)
         np.testing.assert_allclose(m.coefficients, ref, rtol=1e-9, atol=1e-12)
 
+    # 2,084 samples give 2,081 windows, whose last block is 33 rows: a
+    # 32-row kernel chunk and a lone row
+    @pytest.mark.parametrize("n", [300, 2084, 3100])
+    def test_bitwise_equal_to_one_expression_slabs(self, n):
+        data = white_identity_data(n, 12, 4)
+        m = fw.klms_fit(data, eta=0.5, sigma=0.9)
+        ref = oracles.klms_coefficients(data.windows, data.targets, 0.5, 0.9)
+        assert m.coefficients.tobytes() == ref.tobytes()
+
+    def test_bitwise_equal_to_one_expression_slabs_small_spans(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_KLMS_BLOCK", 64)
+        monkeypatch.setattr(baselines, "_KLMS_SLAB", 96)
+        monkeypatch.setattr(baselines, "_PREDICT_CHUNK", 8)
+        data = white_identity_data(500, 13, 3)
+        m = fw.klms_fit(data, eta=0.7, sigma=1.2)
+        ref = oracles.klms_coefficients(
+            data.windows, data.targets, 0.7, 1.2, block=64, slab=96
+        )
+        assert m.coefficients.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("at", [5, 1500])
+    def test_non_finite_coefficients_raise(self, at):
+        # an error past the double range at the last admissible step size;
+        # the first sample's block or a later one
+        data = huge_target_data(2100, at, 1.5e308)
+        with pytest.raises(DataError, match="not finite"):
+            fw.klms_fit(data, eta=2.0, sigma=1.0)
+
     def test_silverman_default_width(self):
         data = white_identity_data(400, 10, 3)
         m = fw.klms_fit(data)
@@ -273,6 +311,16 @@ class TestKafPredict:
         monkeypatch.setattr(baselines, "_PREDICT_CHUNK", 3)
         # chunk shape changes the BLAS path, so equality is to rounding
         np.testing.assert_allclose(fw.kaf_predict(m, X), whole, rtol=1e-14)
+
+    # row counts around the 32-row chunks and the 4096-row blocks
+    @pytest.mark.parametrize("B", [1, 2, 31, 32, 33, 34, 65, 100, 4096, 4097])
+    def test_bitwise_equal_to_one_expression_blocks(self, rng, B):
+        m = fw.KafModel(
+            rng.standard_normal((40, 5)), rng.standard_normal(40), 1.3, "klms"
+        )
+        X = rng.standard_normal((B, 5))
+        assert fw.kaf_predict(m, X).tobytes() == oracles.kaf_predict(m, X).tobytes()
+        assert fw.kaf_predict(m, X[0]) == oracles.kaf_predict(m, X[0])[0]
 
     def test_dimension_mismatch(self, rng):
         m = fw.KafModel(np.ones((2, 3)), np.ones(2), 1.0, "klms")

@@ -209,6 +209,34 @@ class TestFit:
         weights = [float(v) for v in weight_line.split()[1:]]
         np.testing.assert_allclose(weights, [0.3, -0.2, 0.1], atol=1e-2)
 
+    @pytest.mark.parametrize(
+        "method",
+        [{"method": "klms", "eta": 2.0, "sigma": 1.0},
+         {"method": "fwf", "sigma_input": 1.0, "alpha": 0.5}],
+        ids=["klms", "fwf"],
+    )
+    def test_non_finite_fit_exits_3(self, tmp_path, capsys, method):
+        # one desired sample near the double limit makes the KLMS
+        # coefficients and the fwf training MSE overflow
+        x = np.random.default_rng(6).standard_normal(300)
+        z = x.copy()
+        z[150] = 1.5e308
+        xp, zp = tmp_path / "x.csv", tmp_path / "z.csv"
+        fw.write_series_csv(fw.Series(x), xp)
+        fw.write_series_csv(fw.Series(z), zp)
+        cfg = write_json(
+            tmp_path / "fit.json",
+            {**method, "order_L": 3, "horizon": 0, "standardize": False},
+        )
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", str(xp), "--desired",
+            str(zp), "--out", str(out),
+        )
+        assert code == 3
+        assert "not finite" in stderr and len(stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_series_file(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "fit.json", {"method": "wiener", "order_L": 3})
         missing = tmp_path / "nope.csv"

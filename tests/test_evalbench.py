@@ -288,6 +288,29 @@ class TestRunExperiment:
         assert {c["method"] for c in summary["results"]} == {"wiener"}
         assert len(summary["errors"]) == 2
 
+    def test_non_finite_fits_recorded(self, monkeypatch):
+        # a desired sample near the double limit in the training range:
+        # KLMS coefficients and the fwf training MSE come out non-finite
+        x = np.random.default_rng(8).standard_normal(400)
+        z = x.copy()
+        z[50] = 1.5e308
+        data = eb.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
+        monkeypatch.setattr(eb, "make_dataset", lambda cfg, n_rows: data)
+        cfg = eb.ExperimentConfig(
+            dataset="fir", order_L=3, horizon=0, train_sizes=(100,), folds=2,
+            test_size=30,
+            methods=(
+                {"name": "klms", "eta": 2.0, "sigma": 1.0},
+                {"name": "fwf", "sigma_input": 1.0, "alpha": 0.5},
+            ),
+        )
+        table = eb.run_experiment(cfg)
+        assert table.rows == []
+        assert [(e[0], e[2]) for e in table.errors] == [
+            ("klms", 0), ("klms", 1), ("fwf", 0), ("fwf", 1)
+        ]
+        assert all("not finite" in e[3] for e in table.errors)
+
     def test_programming_error_propagates(self, monkeypatch):
         # only toolkit errors are recorded as failed cells
         def broken_fit(data, **kwargs):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import fwfilter as fw
 import oracles
 from fwfilter import fwf_core, neighbors
-from fwfilter.errors import ConditioningError, DimensionError, ParameterError
+from fwfilter.errors import ConditioningError, DataError, DimensionError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +225,20 @@ class TestFit:
         assert m.train_mse >= 0.0 and np.isfinite(m.bias)
         assert m.alpha == 0.3 and m.sigma_input == 0.5
         assert not hasattr(m, "sigma_weight")
+
+    @pytest.mark.parametrize("alpha", [0.5, "auto"])
+    def test_non_finite_train_mse_raises(self, alpha):
+        # one desired sample whose squared error is past the double range;
+        # the kernel steps take it without overflow
+        x = np.random.default_rng(4).standard_normal(300)
+        z = x.copy()
+        z[150] = 1e200
+        data = fw.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
+        cfg = fw.FwfConfig(order_L=3, horizon=0, sigma_input=1.0, alpha=alpha)
+        with pytest.raises(DataError, match="not finite"):
+            fw.fit(data, cfg)
+        with pytest.raises(DataError, match="not finite"):
+            fw.tune_alpha(data, cfg)
 
     def test_weights_satisfy_normal_equations(self, small_data, small_model):
         m = small_model

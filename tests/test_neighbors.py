@@ -212,6 +212,86 @@ class TestBatchExactness:
                 neighbors.query_batch(idx, q, 1)
 
 
+def _assert_rows_bitwise_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        for row_a, row_b in zip(a, b):
+            assert row_a.tobytes() == row_b.tobytes()
+
+
+class TestSortedQueryOrder:
+    """A batch walks the tree in order of its first coordinate; each row must
+    still hold the answer to its own query, whatever the thread count."""
+
+    @pytest.fixture(params=[None, "0", "2"], ids=["threads_unset", "0", "2"])
+    def threads(self, request, monkeypatch):
+        if request.param is None:
+            monkeypatch.delenv("FWF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FWF_THREADS", request.param)
+
+    # 7 rows per tree call: the 979-window batch takes 140 calls, the last
+    # one short
+    @pytest.mark.parametrize("probe_rows", [neighbors._PROBE_ROWS, 7])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_shuffled_held_out_windows(self, threads, K, probe_rows, monkeypatch):
+        monkeypatch.setattr(neighbors, "_PROBE_ROWS", probe_rows)
+        s = fw.gen_mackey_glass(fw.MGParams(downsample=1), 3000)
+        windows = fw.embed(fw.standardize(s), 10, 1).windows
+        idx = neighbors.build(windows[:2000])
+        held_out = windows[2011:]
+        held_out = held_out[np.random.default_rng(5).permutation(len(held_out))]
+        for B in (1, 2, 7, len(held_out)):
+            got = neighbors.query_batch(idx, held_out[:B], K)
+            _assert_rows_bitwise_equal(got, oracles.query_batch(idx, held_out[:B], K))
+
+    def test_shuffled_tie_lattice_rows_land_on_their_own_rows(
+        self, threads, rng, monkeypatch
+    ):
+        grid = _lattice()
+        cloud = 10.0 + rng.standard_normal((20, 3))
+        pts = np.vstack([grid, grid, grid, cloud])
+        idx = neighbors.build(pts)
+        queries = np.vstack(
+            [grid, grid + 0.5, cloud, cloud + 0.01 * rng.standard_normal((20, 3))]
+        )
+        queries = queries[rng.permutation(len(queries))]
+        resolved = []
+        resolve = neighbors._resolve_ties
+
+        def recording(idx_, q, K, d_max):
+            out = resolve(idx_, q, K, d_max)
+            resolved.append((q.copy(), out))
+            return out
+
+        monkeypatch.setattr(neighbors, "_resolve_ties", recording)
+        for K in (1, 2, 4):
+            resolved.clear()
+            got = neighbors.query_batch(idx, queries, K)
+            assert len(resolved) == 2 * len(grid)
+            for q, (want_i, want_d) in resolved:
+                (r,) = np.flatnonzero((queries == q).all(axis=1))
+                assert got[0][r].tobytes() == want_i.tobytes()
+                assert got[1][r].tobytes() == want_d.tobytes()
+            _assert_rows_bitwise_equal(got, oracles.query_batch(idx, queries, K))
+            for r, q in enumerate(queries):
+                ref_nn, ref_d = neighbors.linear_scan_query(pts, q, K)
+                np.testing.assert_array_equal(got[0][r], ref_nn)
+                np.testing.assert_array_equal(got[1][r], ref_d)
+
+    @pytest.mark.parametrize("n", [1, 2, 27])
+    def test_k_probe_equal_to_k(self, threads, n, rng):
+        # K == N leaves no column to over-query, and at N == 1 the tree
+        # returns 1-d arrays
+        pts = np.vstack([_lattice(), _lattice()])[:n]
+        idx = neighbors.build(pts)
+        queries = np.vstack([pts, pts + 0.5, rng.standard_normal((5, 3))])
+        queries = queries[rng.permutation(len(queries))]
+        for B in (1, 2, len(queries)):
+            got = neighbors.query_batch(idx, queries[:B], n)
+            _assert_rows_bitwise_equal(got, oracles.query_batch(idx, queries[:B], n))
+
+
 class TestScaling:
     def test_sublinear_query_growth(self, rng):
         # uniform data in 10-d: tree queries must grow far slower than N

@@ -137,6 +137,39 @@ class TestMackeyGlass:
         assert exc.value.step_index is not None
         assert exc.value.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "params, init, warmup",
+        [
+            ({}, 1.2, 3000),
+            ({"downsample": 1}, 0.9, 300),
+            ({"downsample": 60}, 1.25, 3000),
+            ({"tau_delay": 17.0, "downsample": 3}, 0.5, 500),
+            ({"beta": 0.25, "gamma": 0.12, "n_exp": 9.65, "step": 0.05,
+              "tau_delay": 12.5, "downsample": 2}, 1.1, 250),
+            ({}, 1.0, 3000),
+        ],
+    )
+    def test_bitwise_equal_to_ring_oracle(self, params, init, warmup):
+        p = fw.MGParams(**params)
+        s = fw.gen_mackey_glass(p, 700, warmup=warmup, init=init)
+        ref = oracles.gen_mackey_glass_ring(p, 700, warmup=warmup, init=init)
+        assert s.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "params, init",
+        [
+            ({"tau_delay": 30.0, "step": 30.0}, 1.2),
+            ({"tau_delay": 1.0, "step": 1.0, "gamma": 5.0}, 1.9),
+        ],
+    )
+    def test_divergence_step_matches_ring_oracle(self, params, init):
+        p = fw.MGParams(downsample=1, **params)
+        with pytest.raises(IntegrationDivergenceError) as ours:
+            fw.gen_mackey_glass(p, 400, warmup=1, init=init)
+        with pytest.raises(IntegrationDivergenceError) as ref:
+            oracles.gen_mackey_glass_ring(p, 400, warmup=1, init=init)
+        assert ours.value.step_index == ref.value.step_index
+
     def test_warmup_must_cover_history(self):
         with pytest.raises(ParameterError, match="warmup"):
             fw.gen_mackey_glass(fw.MGParams(), 10, warmup=10)
