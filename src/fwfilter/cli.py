@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands cover the full pipeline: ``generate`` produces benchmark
-series, ``fit`` trains a model on a series CSV, ``predict`` scores a model
-against a series, ``bench`` runs the cross-validated comparison plus timing
-sweep, and ``tune`` searches the alpha grid.  Configuration is a single
+series, ``fit`` trains a model on a series CSV (an fwf fit picks alpha over
+a grid), ``predict`` scores a model against a series, and ``bench`` runs the
+cross-validated comparison plus timing sweep.  Configuration is a single
 JSON document per command; every command validates fully before writing
 anything, echoes the effective configuration next to its output, and maps
 errors to exit code 2 (configuration) or 3 (runtime/data).
@@ -117,7 +117,7 @@ _TASK_KEYS = ("order_L", "horizon", "standardize")
 
 
 def _task(cfg: dict, L: int, horizon: int):
-    """Validated ``order_L`` and ``horizon`` of a fit, tune or predict config
+    """Validated ``order_L`` and ``horizon`` of a fit or predict config
     (``L`` and ``horizon`` where absent) and its remaining keys; checks that
     ``standardize`` is a bool."""
     L = check_int("order_L", cfg.get("order_L", L), 1)
@@ -145,6 +145,8 @@ def cmd_fit(args) -> int:
     model_io.save_model(model, args.out)
     print(f"fitted {method} on {len(data)} windows in {fit_seconds:.3f} s")
     print("training MSE %.17g" % train_mse)
+    if model.kind == "fwf":
+        print("alpha %.17g" % model.alpha)
     if model.kind == "wiener":
         print("weights", " ".join("%.17g" % w for w in model.weights))
     _echo_config(
@@ -228,26 +230,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
-    cfg = _load_json(args.config)
-    L, horizon, hyper = _task(cfg, 10, 1)
-    grid = hyper.pop("grid", None)
-    if "alpha" in hyper:
-        raise ParameterError("tune searches alpha; remove the alpha key")
-    if grid is not None:
-        grid = evalbench._reals("grid", grid)
-    fwf_cfg = evalbench.fwf_config(hyper, L, horizon)
-    data = _embed_from(args, cfg, L, horizon)
-    alpha = fwf_core.tune_alpha(data, fwf_cfg, grid)
-    print("alpha %.17g" % alpha)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"alpha": alpha}, f)
-            f.write("\n")
-        _echo_config({**cfg, "order_L": L, "horizon": horizon}, args.out)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwf",
@@ -256,9 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", required=out_required, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("generate", help="produce a benchmark series CSV")
     common(p)
@@ -282,12 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(handler=cmd_bench, config_required=True)
-
-    p = sub.add_parser("tune", help="search the alpha grid on a series")
-    common(p, out_required=False)
-    p.add_argument("--series", required=True, help="training series CSV")
-    p.add_argument("--desired", help="optional desired-signal series CSV")
-    p.set_defaults(handler=cmd_tune, config_required=True)
     return parser
 
 

@@ -219,7 +219,8 @@ def mse(pred, target) -> float:
     if p.shape != t.shape or p.ndim != 1 or p.size < 1:
         raise ParameterError("mse requires two equal-length non-empty vectors")
     d = p - t
-    return float(np.mean(d * d))
+    with np.errstate(over="ignore"):  # inf past the double range
+        return float(np.mean(d * d))
 
 
 def _reals(key: str, values) -> list[float]:

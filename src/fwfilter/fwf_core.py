@@ -39,7 +39,6 @@ __all__ = [
     "fit",
     "predict",
     "predict_batch",
-    "tune_alpha",
 ]
 
 # default search grid for the output-scale hyperparameter
@@ -57,21 +56,29 @@ RESIDUAL_TOL = 1e-10
 _ROW_CHUNK = 2048
 
 
+def _check_alpha(a) -> float:
+    """``a`` as a float if it is a positive finite real."""
+    if not 0 < check_real("alpha", a) < np.inf:
+        raise ParameterError(f"alpha must be a positive finite real, got {a!r}")
+    return float(a)
+
+
 @dataclass(frozen=True)
 class FwfConfig:
     """Hyperparameters for the nearest-neighbor functional filter.
 
     ``sigma_input=None`` selects Silverman's rule on the training input;
     the same width serves the weight kernel of the partner step, since a
-    second width would only rescale alpha.  ``alpha="auto"`` tunes the
-    output scale on the training set over ``DEFAULT_ALPHA_GRID``;
-    ``ridge="auto"`` uses the smallest ridge that keeps the correntropy
-    system positive definite.
+    second width would only rescale alpha.  ``alpha`` is a positive finite
+    real, a non-empty list of them (a grid, stored as a tuple) or
+    ``"auto"`` (``DEFAULT_ALPHA_GRID``); :func:`fit` picks the grid point
+    with the lowest training MSE.  ``ridge="auto"`` uses the smallest ridge
+    that keeps the correntropy system positive definite.
     """
 
     order_L: int
     sigma_input: float | None = None
-    alpha: float | str = "auto"
+    alpha: float | tuple[float, ...] | str = "auto"
     k_neighbors: int = 2
     ridge: float | str = "auto"
     horizon: int = 1
@@ -82,8 +89,12 @@ class FwfConfig:
         check_int("horizon", self.horizon, 0)
         if self.sigma_input is not None:
             check_width("sigma_input", self.sigma_input)
-        if self.alpha != "auto" and not 0 < check_real("alpha", self.alpha) < np.inf:
-            raise ParameterError("alpha must be a positive finite real or 'auto'")
+        if isinstance(self.alpha, (list, tuple)):
+            if not self.alpha:
+                raise ParameterError("alpha grid must be non-empty")
+            object.__setattr__(self, "alpha", tuple(map(_check_alpha, self.alpha)))
+        elif self.alpha != "auto":
+            _check_alpha(self.alpha)
         if self.ridge != "auto":
             check_nonneg("ridge", self.ridge)
 
@@ -144,8 +155,15 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
         )
     # A_r is checked above; a non-finite factor fails the residual check
     w = cho_solve((c, True), np.asarray_chkfinite(b), check_finite=False)
-    resid = np.linalg.norm(A_r @ w - b)
-    if not resid <= RESIDUAL_TOL * np.linalg.norm(b):
+    # targets near the double limit overflow the norms; both checks below
+    # report it, so numpy's warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.linalg.norm(A_r @ w - b)
+        b_norm = np.linalg.norm(b)
+    if b_norm == np.inf:
+        raise DataError("the right-hand side's norm is not finite; "
+                        "the targets are too large")
+    if not resid <= RESIDUAL_TOL * b_norm:
         raise ConditioningError(
             f"weight solve residual {resid:.3e} exceeds tolerance; "
             "the system is too ill-conditioned"
@@ -278,7 +296,16 @@ def _prepare(data: Dataset, cfg: FwfConfig):
     x = data.source_x
     s_in = resolve_width(cfg.sigma_input, x)
     V = toeplitz(autocorrentropy(x, cfg.order_L, s_in))
-    Pv = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
+    try:
+        Pv = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
+    except ParameterError:  # finite aligned series fail only the width check
+        if cfg.sigma_input is not None:
+            raise
+        raise DataError(
+            f"the desired signal (largest magnitude {np.abs(data.source_z).max():.3g}) "
+            f"is far off the input's scale: its cross-correntropy at Silverman's "
+            f"width {s_in:.3g} is 0 at every lag; rescale it"
+        ) from None
     ridge = auto_ridge(V) if cfg.ridge == "auto" else float(cfg.ridge)
     weights = solve_weights(V, Pv, ridge)
     # kernel similarity of each target to each weight, floored so the
@@ -324,33 +351,16 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     return alphas, stats, best
 
 
-def tune_alpha(data: Dataset, cfg: FwfConfig, grid=None) -> float:
-    """Pick the alpha minimizing training MSE over a grid.
-
-    Weights, kernel-inverse offsets, and the neighbor assignment are
-    computed once; one pass of the functional kernel then evaluates every
-    candidate, with its own bias.  Ties break toward smaller alpha.
-    """
-    grid = DEFAULT_ALPHA_GRID if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("alpha grid must be non-empty")
-    if not np.all((grid > 0) & (grid < np.inf)):
-        raise ParameterError("alpha grid entries must be positive and finite")
-    s_in, _, weights, offsets, _, nbr_idx = _prepare(data, cfg)
-    alphas, _, best = _search_alpha(data, grid, s_in, weights, offsets, nbr_idx)
-    return float(alphas[best])
-
-
 def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     """Fit the filter: weights, partner set, neighbor index, bias.
 
-    With ``alpha="auto"`` the grid search of :func:`tune_alpha` runs inline
-    on the same precomputed state; a fixed alpha is a one-point grid.
+    One pass of the functional kernel on the alpha-free state evaluates
+    every alpha of the grid (see :class:`FwfConfig`); ties go to the smaller alpha.
     """
     s_in, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
-    grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else [float(cfg.alpha)]
+    grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else cfg.alpha
     alphas, stats, best = _search_alpha(
-        data, grid, s_in, weights, offsets, nbr_idx
+        data, np.array(grid, dtype=float, ndmin=1), s_in, weights, offsets, nbr_idx
     )
     alpha = float(alphas[best])
     bias, mse = stats[best]

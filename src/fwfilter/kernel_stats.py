@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .errors import (
     AlignmentError,
+    DataError,
     DegenerateSeriesError,
     DimensionError,
     DomainError,
@@ -103,9 +104,12 @@ def _lag_profile(x, z, L: int, stat, correntropy: bool) -> np.ndarray:
     # lag L-1 needs at least one sample pair
     if n < L:
         raise DimensionError(f"series of length {n} too short for L={L}")
-    v = np.array([np.mean(stat(zv[t:], xv[: n - t])) for t in range(L)])
+    # covariance products or sums of finite samples can pass the double
+    # range; the check below reports it, so numpy's warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.array([np.mean(stat(zv[t:], xv[: n - t])) for t in range(L)])
     if not np.all(np.isfinite(v)):
-        raise ParameterError("profile entries must be finite")
+        raise DataError("profile entries are not finite; the series are too large")
     if correntropy and not np.all(v > 0):
         raise ParameterError(
             "correntropy entries must lie in (0, 1]; the kernel width is too small"

@@ -34,6 +34,15 @@ def huge_target_data(n, at, value):
     return fw.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
 
 
+def signed_huge_data(value):
+    """A 300-sample white input against a desired signal of random-sign
+    ``+-value``."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(300)
+    z = np.where(rng.standard_normal(300) > 0, value, -value)
+    return fw.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
+
+
 class TestWienerModel:
     def test_order(self):
         assert fw.WienerModel(np.array([1.0, 2.0])).order_L == 2
@@ -43,6 +52,22 @@ class TestWienerModel:
             fw.WienerModel(np.ones((2, 2)))
         with pytest.raises(ParameterError):
             fw.WienerModel(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize(
+    "fit", [fw.wiener_fit, lambda d: fw.krls_fit(d, sigma=1.0)], ids=["wiener", "krls"]
+)
+@pytest.mark.parametrize(
+    "data",
+    [lambda: signed_huge_data(1e307), lambda: huge_target_data(300, 150, 1.5e308),
+     lambda: huge_target_data(300, 150, 1e160)],
+    ids=["all-1e307", "one-1.5e308", "one-1e160"],
+)
+def test_targets_near_the_double_limit_raise_data_error(fit, data):
+    # a covariance profile or the solve's norm passes the double range; the
+    # suite turns any numpy RuntimeWarning into an error
+    with pytest.raises(DataError, match="too large"):
+        fit(data())
 
 
 class TestWienerFit:

@@ -283,7 +283,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "command, out_name",
-        [("fit", "m.npz"), ("tune", "alpha.json"), ("predict", "p.csv")],
+        [("fit", "m.npz"), ("predict", "p.csv")],
     )
     def test_non_bool_standardize_rejected(
         self, tmp_path, capsys, mg_csv, command, out_name
@@ -357,16 +357,48 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, cfg", [("fit", {"method": "fwf", "seed": 123}), ("tune", {"seed": 1})]
+        "command, cfg", [("fit", {"method": "fwf", "seed": 123})]
     )
     def test_seed_key_rejected(self, tmp_path, capsys, mg_csv, command, cfg):
-        # neither command reads a seed
+        # fit reads no seed
         out = tmp_path / "out.json"
         code, _, stderr = run(
             capsys, command, "--config", write_json(tmp_path / "c.json", cfg),
             "--series", mg_csv, "--out", str(out),
         )
         assert_one_line_error(code, stderr, "seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, code, key",
+        [({"method": "wiener"}, 3, "too large"), ({"method": "krls"}, 3, "too large"),
+         ({"method": "fwf"}, 3, "desired signal"),
+         ({"method": "fwf", "sigma_input": 1.0}, 2, "kernel width")],
+        ids=["wiener", "krls", "fwf", "fwf-width-set"],
+    )
+    def test_desired_signal_near_the_double_limit(
+        self, tmp_path, capsys, method, code, key
+    ):
+        # a white input against a desired signal of +-1e307: a data error,
+        # unless a width the config sets is what fails
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(300)
+        z = np.where(rng.standard_normal(300) > 0, 1e307, -1e307)
+        xp, zp = tmp_path / "x.csv", tmp_path / "z.csv"
+        fw.write_series_csv(fw.Series(x), xp)
+        fw.write_series_csv(fw.Series(z), zp)
+        cfg = write_json(
+            tmp_path / "fit.json",
+            {**method, "order_L": 3, "horizon": 0, "standardize": False},
+        )
+        out = tmp_path / "m.npz"
+        got, stdout, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", str(xp), "--desired",
+            str(zp), "--out", str(out),
+        )
+        assert got == code and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert key in stderr
         assert not out.exists()
 
     def test_width_too_small_for_the_series(self, tmp_path, capsys):
@@ -754,53 +786,101 @@ class TestBench:
 
 
 class TestTune:
-    def test_singleton_grid(self, tmp_path, capsys, mg_csv):
-        cfg = write_json(
-            tmp_path / "tune.json",
-            {"order_L": 10, "sigma_input": 0.5, "grid": [0.445]},
+    """Picking alpha over a grid: ``fwf fit`` with a list ``alpha``.  The
+    pinned values are what the removed ``fwf tune`` printed for the same
+    series and keys, with ``grid`` for ``alpha``."""
+
+    def fit(self, tmp_path, capsys, mg_csv, cfg):
+        """Run ``fwf fit`` on ``cfg`` and return the exit code, stdout and
+        the model path."""
+        out = tmp_path / "m.npz"
+        code, stdout, _ = run(
+            capsys, "fit", "--config", write_json(tmp_path / "fit.json", cfg),
+            "--series", mg_csv, "--out", str(out),
         )
-        code, stdout, _ = run(capsys, "tune", "--config", cfg, "--series", mg_csv)
+        return code, stdout, out
+
+    def test_singleton_grid(self, tmp_path, capsys, mg_csv):
+        code, stdout, out = self.fit(
+            tmp_path, capsys, mg_csv,
+            {"method": "fwf", "order_L": 10, "sigma_input": 0.5, "alpha": [0.445]},
+        )
         assert code == 0
-        line = [l for l in stdout.splitlines() if l.startswith("alpha")][0]
-        assert float(line.split()[1]) == 0.445
+        assert "alpha 0.44500000000000001" in stdout.splitlines()
+        model = fw.load_model(out)
+        assert model.alpha == 0.445 and model.config.alpha == (0.445,)
 
     def test_json_output(self, tmp_path, capsys, mg_csv):
-        cfg = write_json(
-            tmp_path / "tune.json",
-            {"order_L": 10, "sigma_input": 0.5, "grid": [0.2, 0.4]},
-        )
-        out = tmp_path / "alpha.json"
-        code, _, _ = run(
-            capsys, "tune", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        # the echoed config keeps the grid; the model file holds the pick
+        grid = [0.3, 0.05, 0.15, 0.1, 0.2]
+        code, stdout, out = self.fit(
+            tmp_path, capsys, mg_csv,
+            {"method": "fwf", "order_L": 10, "sigma_input": 0.5, "alpha": grid},
         )
         assert code == 0
-        assert json.loads(out.read_text())["alpha"] in (0.2, 0.4)
-
-    def test_alpha_key_rejected(self, tmp_path, capsys, mg_csv):
-        # the search sets alpha; a fixed one would be silently ignored
-        cfg = write_json(
-            tmp_path / "tune.json",
-            {"order_L": 5, "sigma_input": 1.0, "alpha": 123.0, "grid": [0.1, 0.2]},
-        )
-        out = tmp_path / "alpha.json"
-        code, stdout, stderr = run(
-            capsys, "tune", "--config", cfg, "--series", mg_csv, "--out", str(out)
-        )
-        assert_one_line_error(code, stderr, "alpha")
-        assert stdout == "" and not out.exists()
+        assert "alpha 0.14999999999999999" in stdout.splitlines()
+        echo = json.loads((tmp_path / "m.config.json").read_text())
+        assert echo["alpha"] == grid
+        model = fw.load_model(out)
+        assert model.alpha == 0.15 and model.config.alpha == tuple(grid)
 
     @pytest.mark.parametrize(
-        "grid", [[True, 0.5], ["x"], 5, [[0.1]], [float("inf"), 0.5]]
+        "hyper, line",
+        [({"sigma_input": 0.5}, "alpha 0.14927768649036882"),
+         ({}, "alpha 0.062851627670932358"),
+         ({"sigma_input": 0.5, "alpha": 0.3}, "alpha 0.29999999999999999")],
+        ids=["auto", "auto-silverman", "fixed"],
+    )
+    def test_alpha_printed(self, tmp_path, capsys, mg_csv, hyper, line):
+        code, stdout, _ = self.fit(
+            tmp_path, capsys, mg_csv, {"method": "fwf", "order_L": 10, **hyper}
+        )
+        assert code == 0
+        assert line in stdout.splitlines()
+
+    def test_tune_command_removed(self, tmp_path, capsys, mg_csv):
+        cfg = write_json(tmp_path / "tune.json", {"order_L": 10, "grid": [0.2]})
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--config", cfg, "--series", mg_csv])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[True, 0.5], ["x"], "5", [[0.1]], [float("inf"), 0.5], [], [0.5, -0.1],
+         ["auto", 0.2], [10**400], {"a": 0.2}],
     )
     def test_bad_grid_rejected(self, tmp_path, capsys, mg_csv, grid):
-        cfg = write_json(tmp_path / "tune.json", {"order_L": 10, "grid": grid})
-        out = tmp_path / "alpha.json"
-        code, _, stderr = run(
-            capsys, "tune", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        # a quoted number is not a number; a bare 5 is a valid alpha
+        cfg = write_json(
+            tmp_path / "fit.json", {"method": "fwf", "order_L": 10, "alpha": grid}
         )
-        assert_one_line_error(code, stderr, "grid")
+        out = tmp_path / "m.npz"
+        code, _, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out)
+        )
+        assert_one_line_error(code, stderr, "alpha")
         assert "Traceback" not in stderr
         assert not out.exists()
+
+    def test_bench_grid_in_experiment_and_sweep(self, tmp_path, capsys):
+        # a grid alpha reaches the cross-validated fits and the timing sweep
+        # through the same method entry
+        fwf = {"name": "fwf", "sigma_input": 0.5, "alpha": [0.4, 0.2]}
+        cfg = write_json(
+            tmp_path / "bench.json",
+            {"dataset": "mackey_glass", "train_sizes": [120, 160], "folds": 2,
+             "test_size": 30, "methods": [fwf],
+             "timing": {"method": "fwf", "sizes": [50, 100, 200], "repeats": 1,
+                        "queries": 20}},
+        )
+        out = tmp_path / "o"
+        code, stdout, _ = run(capsys, "bench", "--config", cfg, "--out", str(out))
+        assert code == 0 and "(0 errored cells)" in stdout
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 2 * 2
+        assert len((out / "timing.csv").read_text().splitlines()) == 1 + 3
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["methods"] == [fwf]
 
 
 def test_import_skips_unused_scipy_subpackages():

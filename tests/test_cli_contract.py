@@ -1,6 +1,6 @@
 """Property test of the CLI error contract.
 
-Every ``fit``, ``predict``, ``tune`` and ``bench`` run on a small valid
+Every ``fit``, ``predict`` and ``bench`` run on a small valid
 configuration with one key replaced by an arbitrary JSON value ends in exit
 0, 2 or 3, with at most one line on stderr.  An exception escaping ``main``
 (a traceback at the command line) fails the test, and so does a numpy
@@ -117,7 +117,9 @@ def values_for(key):
 def fit_cases(draw):
     method = draw(st.sampled_from(sorted(FIT_KEYS)))
     key = draw(st.sampled_from(FIT_KEYS[method] + TASK_KEYS + ["method"]))
-    return method, key, draw(values_for(key))
+    # fwf's alpha also takes a grid
+    grids = st.lists(VALUES, max_size=3) if key == "alpha" else st.nothing()
+    return method, key, draw(st.one_of(values_for(key), grids))
 
 
 @SETTINGS
@@ -132,6 +134,8 @@ def fit_cases(draw):
 @example(("klms", "eta", float("inf")))
 # integers past the double range, and KLMS steps that diverge
 @example(("fwf", "alpha", HUGE))
+@example(("fwf", "alpha", [0.2, HUGE]))
+@example(("fwf", "alpha", [0.2, 0.5]))
 @example(("klms", "eta", HUGE))
 @example(("klms", "eta", 5))
 def test_fit_contract(files, case):
@@ -152,15 +156,6 @@ def test_predict_contract(files, method, key, value):
     series, models = files
     check_contract("predict", {key: value}, "--model", models[method],
                    "--series", series)
-
-
-@SETTINGS
-@given(st.sampled_from(FIT_KEYS["fwf"] + TASK_KEYS + ["grid"]),
-       st.one_of(VALUES, st.lists(VALUES, max_size=3)))
-def test_tune_contract(files, key, value):
-    series, _ = files
-    cfg = {"order_L": 5, "grid": [0.2, 0.5], key: value}
-    check_contract("tune", cfg, "--series", series)
 
 
 @st.composite

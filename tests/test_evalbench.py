@@ -128,6 +128,9 @@ class TestMse:
         with pytest.raises(ParameterError):
             eb.mse([], [])
 
+    def test_past_the_double_range_is_inf(self):
+        assert eb.mse([1e200], [0.0]) == np.inf
+
 
 class TestMakeSeries:
     def test_fir_uses_run_seed_by_default(self):
@@ -310,6 +313,24 @@ class TestRunExperiment:
             ("klms", 0), ("klms", 1), ("fwf", 0), ("fwf", 1)
         ]
         assert all("not finite" in e[3] for e in table.errors)
+
+    def test_desired_signal_near_the_double_limit_recorded(self):
+        # an FIR desired signal of about 1e307: every fit fails, or its MSE
+        # passes the double range, with no numpy warning
+        cfg = eb.ExperimentConfig(
+            dataset="fir", generator={"coeffs": [1e307]}, order_L=3, horizon=0,
+            train_sizes=(100,), folds=2, test_size=30,
+            methods=({"name": "fwf"}, {"name": "wiener"}, {"name": "krls"},
+                     {"name": "klms"}),
+        )
+        table = eb.run_experiment(cfg)
+        assert table.rows == []
+        messages = {e[0]: e[3] for e in table.errors}
+        assert len(table.errors) == 8
+        assert list(messages) == ["fwf", "wiener", "krls", "klms"]
+        assert "desired signal" in messages["fwf"]
+        assert "too large" in messages["wiener"] and "too large" in messages["krls"]
+        assert "finite" in messages["klms"]
 
     def test_programming_error_propagates(self, monkeypatch):
         # only toolkit errors are recorded as failed cells

@@ -56,6 +56,13 @@ class TestFwfConfig:
             {"order_L": 10, "ridge": float("nan")},
             {"order_L": 10, "sigma_input": "x"},
             {"order_L": 10, "sigma_input": -1.0},
+            # alpha grids; TestTuneAlpha has the empty and negative ones
+            {"order_L": 10, "alpha": ["auto", 0.2]},
+            {"order_L": 10, "alpha": [True]},
+            {"order_L": 10, "alpha": [float("inf")]},
+            {"order_L": 10, "alpha": (0.2, float("nan"))},
+            {"order_L": 10, "alpha": [10**400]},
+            {"order_L": 10, "alpha": [[0.1]]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -73,6 +80,13 @@ class TestFwfConfig:
         except ParameterError:
             return
         assert getattr(cfg, key) is value
+
+    def test_alpha_grid_is_a_tuple_of_floats(self):
+        cfg = fw.FwfConfig(order_L=10, alpha=[0.3, 1])
+        assert type(cfg.alpha) is tuple and cfg.alpha == (0.3, 1.0)
+        assert all(type(a) is float for a in cfg.alpha)
+        assert cfg == fw.FwfConfig(order_L=10, alpha=(0.3, 1.0))
+        assert hash(cfg) == hash(fw.FwfConfig(order_L=10, alpha=(0.3, 1.0)))
 
 
 class TestGVector:
@@ -238,7 +252,7 @@ class TestFit:
         with pytest.raises(DataError, match="not finite"):
             fw.fit(data, cfg)
         with pytest.raises(DataError, match="not finite"):
-            fw.tune_alpha(data, cfg)
+            fw.fit(data, dataclasses.replace(cfg, alpha=[0.05, 0.5, 2.0]))
 
     def test_weights_satisfy_normal_equations(self, small_data, small_model):
         m = small_model
@@ -278,7 +292,22 @@ class TestFit:
         with pytest.raises(DimensionError, match="horizon"):
             fw.fit(small_data, cfg)
         with pytest.raises(DimensionError, match="horizon"):
-            fw.tune_alpha(small_data, cfg, [0.3])
+            fw.fit(small_data, dataclasses.replace(cfg, alpha=[0.3]))
+
+    def test_desired_signal_far_off_the_input_scale(self):
+        # every cross-correntropy pair of a white input and a desired signal
+        # of +-1e307 underflows to 0: a data problem under Silverman's width,
+        # a width problem when the width is set
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(300)
+        z = np.where(rng.standard_normal(300) > 0, 1e307, -1e307)
+        data = fw.embed_pair(fw.Series(x), fw.Series(z), 3, 0)
+        for alpha in ("auto", 0.5):
+            with pytest.raises(DataError, match="desired signal .* 1e\\+307"):
+                fw.fit(data, fw.FwfConfig(order_L=3, horizon=0, alpha=alpha))
+            cfg = fw.FwfConfig(order_L=3, horizon=0, alpha=alpha, sigma_input=1.0)
+            with pytest.raises(ParameterError, match="kernel width"):
+                fw.fit(data, cfg)
 
     def test_model_records_config_horizon(self, small_data, small_model):
         assert small_model.horizon == small_data.horizon == 1
@@ -409,7 +438,20 @@ def search_and_oracle(data, cfg, grid):
     return fwf_core._search_alpha(*args), oracles.alpha_search(*args)
 
 
+def fit_grid(data, alpha):
+    """A fit on ``data`` at width 0.5 with ``alpha`` a grid or one value."""
+    return fw.fit(data, fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=alpha))
+
+
+def assert_same_fit(a, b):
+    """The chosen alpha, training statistics and partners agree bitwise."""
+    assert (a.alpha, a.train_mse, a.bias) == (b.alpha, b.train_mse, b.bias)
+    assert a.partners.tobytes() == b.partners.tobytes()
+
+
 class TestTuneAlpha:
+    """Picking alpha: :func:`fit` over a grid ``alpha``."""
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("extra", [-1, 0, 1, fwf_core._ROW_CHUNK + 3])
     def test_curve_bitwise_equal_to_per_alpha_loop(self, chunk_series, k, extra):
@@ -423,8 +465,9 @@ class TestTuneAlpha:
         )
         assert stats == ref_stats
         assert float(alphas[best]) == ref_alpha
-        assert fw.tune_alpha(data, cfg) == ref_alpha
-        assert fw.fit(data, cfg).train_mse == ref_stats[best][1]
+        m = fw.fit(data, cfg)
+        assert m.alpha == ref_alpha
+        assert (m.bias, m.train_mse) == ref_stats[best]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17, 130])
@@ -441,51 +484,45 @@ class TestTuneAlpha:
         assert float(alphas[best]) == ref_alpha
 
     def test_duplicated_grid_entry_ties_to_first(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
         grid = [0.8, 0.05, 0.2, 0.4]
-        winner = fw.tune_alpha(small_data, cfg, grid=grid)
+        winner = fit_grid(small_data, grid).alpha
+        assert winner == 0.05
         dup = grid + [winner]
         (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
-            small_data, cfg, dup
+            small_data, fw.FwfConfig(order_L=10, sigma_input=0.5), dup
         )
         assert stats == ref_stats
         assert float(alphas[best]) == ref_alpha == winner
         assert alphas[best + 1] == winner
         assert stats[best] == stats[best + 1]
+        assert_same_fit(fit_grid(small_data, dup), fit_grid(small_data, grid))
 
     def test_singleton_grid(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
-        assert fw.tune_alpha(small_data, cfg, grid=[0.445]) == 0.445
+        m = fit_grid(small_data, [0.445])
+        assert m.alpha == 0.445 and m.config.alpha == (0.445,)
+        assert_same_fit(m, fit_grid(small_data, 0.445))
 
     def test_matches_exhaustive_refits(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
         grid = [0.05, 0.2, 0.8]
-        best = fw.tune_alpha(small_data, cfg, grid=grid)
-        mses = {
-            a: fw.fit(
-                small_data, fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=a)
-            ).train_mse
-            for a in grid
-        }
-        assert best == min(grid, key=lambda a: mses[a])
+        refits = {a: fit_grid(small_data, a) for a in grid}
+        best = min(grid, key=lambda a: refits[a].train_mse)
+        assert_same_fit(fit_grid(small_data, grid), refits[best])
 
     def test_grid_order_irrelevant(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
-        a = fw.tune_alpha(small_data, cfg, grid=[0.8, 0.05, 0.2])
-        b = fw.tune_alpha(small_data, cfg, grid=[0.05, 0.2, 0.8])
-        assert a == b
+        a = fit_grid(small_data, [0.8, 0.05, 0.2])
+        b = fit_grid(small_data, (0.05, 0.2, 0.8))
+        assert_same_fit(a, b)
 
     def test_auto_fit_agrees_with_tuner(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
-        m = fw.fit(small_data, cfg)
-        assert m.alpha == fw.tune_alpha(small_data, cfg)
+        # "auto" is the default grid written out; the pick is pinned bitwise
+        m = fw.fit(small_data, fw.FwfConfig(order_L=10, sigma_input=0.5))
+        assert m.alpha == 0.07802542101995251
+        assert_same_fit(m, fit_grid(small_data, tuple(fwf_core.DEFAULT_ALPHA_GRID)))
 
-    def test_grid_validation(self, small_data):
-        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5)
-        with pytest.raises(ParameterError):
-            fw.tune_alpha(small_data, cfg, grid=[])
-        with pytest.raises(ParameterError):
-            fw.tune_alpha(small_data, cfg, grid=[0.5, -0.1])
+    def test_grid_validation(self):
+        for grid in ([], [0.5, -0.1]):
+            with pytest.raises(ParameterError, match="alpha"):
+                fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=grid)
 
     def test_default_grid_shape(self):
         g = fwf_core.DEFAULT_ALPHA_GRID

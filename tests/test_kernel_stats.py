@@ -6,6 +6,7 @@ import fwfilter as fw
 import oracles
 from fwfilter.errors import (
     AlignmentError,
+    DataError,
     DegenerateSeriesError,
     DimensionError,
     DomainError,
@@ -275,6 +276,17 @@ class TestLagProfileValidation:
     def test_covariance_unconstrained_sign(self):
         x = np.array([1.0, -1.0] * 10)
         assert fw.crosscovariance(x, -x, 2)[0] == -1.0
+
+    def test_covariance_past_the_double_range(self, rng):
+        # finite samples whose products or sums overflow: a data error, and
+        # no numpy warning
+        x = 1.0 + rng.random(300)
+        for z, estimate in (
+            (np.full(300, 1e307), fw.crosscovariance),
+            (np.full(300, 1e155), lambda x, z, L: fw.autocovariance(z, L)),
+        ):
+            with pytest.raises(DataError, match="too large"):
+                estimate(x, z, 3)
 
     def test_non_finite_rejected(self, rng):
         for bad in (np.nan, np.inf):

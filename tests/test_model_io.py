@@ -42,6 +42,21 @@ class TestFwfRoundtrip:
         np.testing.assert_array_equal(back.partners, m.partners)
         assert len(back.neighbor_index) == m.n_train
 
+    def test_grid_config_round_trips(self, fir_data, tmp_path, rng):
+        # the file holds the grid as a JSON list; it loads back as a tuple
+        cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=[0.8, 0.05, 0.2, 0.4],
+                           horizon=0)
+        m = fw.fit(fir_data, cfg)
+        path = tmp_path / "model.npz"
+        fw.save_model(m, path)
+        with np.load(path) as f:
+            assert json.loads(str(f["meta"]))["config"]["alpha"] == [0.8, 0.05, 0.2, 0.4]
+        back = fw.load_model(path)
+        assert back.config == cfg and back.config.alpha == (0.8, 0.05, 0.2, 0.4)
+        assert back.alpha == m.alpha and back.bias == m.bias
+        X = rng.standard_normal((50, 3))
+        assert fw.predict_batch(back, X).tobytes() == fw.predict_batch(m, X).tobytes()
+
 
 class TestBaselineRoundtrips:
     def test_wiener(self, fir_data, tmp_path, rng):

@@ -28,7 +28,7 @@ EARLIER_EXPORTS = {
     "crosscorrentropy", "crosscovariance", "gaussian", "gaussian_inverse",
     "silverman_sigma", "toeplitz",
     "DEFAULT_ALPHA_GRID", "FwfConfig", "FwfModel", "fit", "predict",
-    "predict_batch", "solve_weights", "tune_alpha",
+    "predict_batch", "solve_weights",
     "NeighborIndex", "build", "linear_scan_query", "query", "query_batch",
     "KafModel", "WienerModel", "kaf_predict", "klms_fit", "krls_fit", "krr_fit",
     "wiener_fit", "wiener_predict",
