@@ -178,7 +178,7 @@ def cmd_predict(args) -> int:
     else:
         pred = fwf_core.predict_batch(model, data.windows, k)
     pred = np.atleast_1d(np.asarray(pred, dtype=float))
-    err = (pred - data.targets) ** 2
+    err = evalbench.squared_errors(pred, data.targets)
     with open(args.out, "w") as f:
         f.write("index,prediction,target,squared_error\n")
         for i in range(len(data)):

@@ -39,6 +39,7 @@ __all__ = [
     "METHODS",
     "kfold",
     "mse",
+    "squared_errors",
     "make_series",
     "make_dataset",
     "fwf_config",
@@ -212,15 +213,24 @@ def kfold(data: Dataset, folds: int, test_size: int):
     return splits
 
 
-def mse(pred, target) -> float:
-    """Mean squared difference between two equal-length vectors."""
+def squared_errors(pred, target) -> np.ndarray:
+    """Squared differences of two equal-length vectors; inf past the double
+    range."""
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape or p.ndim != 1 or p.size < 1:
-        raise ParameterError("mse requires two equal-length non-empty vectors")
-    d = p - t
-    with np.errstate(over="ignore"):  # inf past the double range
-        return float(np.mean(d * d))
+        raise ParameterError("squared errors need two equal-length non-empty vectors")
+    with np.errstate(over="ignore"):
+        d = p - t
+        return d * d
+
+
+def mse(pred, target) -> float:
+    """Mean squared difference between two equal-length vectors; inf past
+    the double range."""
+    err = squared_errors(pred, target)
+    with np.errstate(over="ignore"):  # finite squares can sum past the range
+        return float(np.mean(err))
 
 
 def _reals(key: str, values) -> list[float]:

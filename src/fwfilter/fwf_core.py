@@ -55,12 +55,23 @@ RESIDUAL_TOL = 1e-10
 # alpha sweep's five L x K x b blocks take 1.6 MB
 _ROW_CHUNK = 2048
 
+# exp rounds every argument below this to +0.0: exp(-746) is about 1e-324,
+# under half the smallest subnormal.  numpy's exp takes a slow path for
+# zero and subnormal results, so these lanes are set rather than computed
+_EXP_ZERO = -746.0
+
 
 def _check_alpha(a) -> float:
     """``a`` as a float if it is a positive finite real."""
     if not 0 < check_real("alpha", a) < np.inf:
         raise ParameterError(f"alpha must be a positive finite real, got {a!r}")
     return float(a)
+
+
+def _is_auto(v) -> bool:
+    """Whether ``v`` is the string ``"auto"``; an array compared with a
+    string would give an array, not a bool."""
+    return isinstance(v, str) and v == "auto"
 
 
 @dataclass(frozen=True)
@@ -70,10 +81,10 @@ class FwfConfig:
     ``sigma_input=None`` selects Silverman's rule on the training input;
     the same width serves the weight kernel of the partner step, since a
     second width would only rescale alpha.  ``alpha`` is a positive finite
-    real, a non-empty list of them (a grid, stored as a tuple) or
-    ``"auto"`` (``DEFAULT_ALPHA_GRID``); :func:`fit` picks the grid point
-    with the lowest training MSE.  ``ridge="auto"`` uses the smallest ridge
-    that keeps the correntropy system positive definite.
+    real, a non-empty list, tuple or 1-d array of them (a grid, stored as a
+    tuple) or ``"auto"`` (``DEFAULT_ALPHA_GRID``); :func:`fit` picks the
+    grid point with the lowest training MSE.  ``ridge="auto"`` uses the
+    smallest ridge that keeps the correntropy system positive definite.
     """
 
     order_L: int
@@ -89,13 +100,16 @@ class FwfConfig:
         check_int("horizon", self.horizon, 0)
         if self.sigma_input is not None:
             check_width("sigma_input", self.sigma_input)
-        if isinstance(self.alpha, (list, tuple)):
-            if not self.alpha:
+        alpha = self.alpha
+        if isinstance(alpha, np.ndarray) and alpha.ndim == 1:
+            alpha = alpha.tolist()
+        if isinstance(alpha, (list, tuple)):
+            if not alpha:
                 raise ParameterError("alpha grid must be non-empty")
-            object.__setattr__(self, "alpha", tuple(map(_check_alpha, self.alpha)))
-        elif self.alpha != "auto":
-            _check_alpha(self.alpha)
-        if self.ridge != "auto":
+            object.__setattr__(self, "alpha", tuple(map(_check_alpha, alpha)))
+        elif not _is_auto(alpha):
+            _check_alpha(alpha)
+        if not _is_auto(self.ridge):
             check_nonneg("ridge", self.ridge)
 
 
@@ -202,13 +216,27 @@ def _slab_sum(x, out):
     return np.add(x[0], 0.0, out=out)
 
 
-def _kernel_terms(d, q, w, neg_s2):
+def _kernel_terms(d, q, w, neg_s2, zero=None):
     """Turn partner coordinates ``d`` into weighted kernel terms, in place:
-    ``d - q``, squared, divided by ``neg_s2``, ``exp``, times ``w``."""
+    ``d - q``, squared, divided by ``neg_s2``, ``exp``, times ``w``.
+
+    ``zero`` is an optional bool work array of ``d``'s shape.  When the
+    block's minimum is under ``_EXP_ZERO``, the lanes under it get the +0.0
+    that ``exp`` would return, without calling it, and the others go
+    through the same ``exp`` loop, so every lane is bitwise what ``exp``
+    gives.  A NaN makes the minimum NaN, and the block takes plain ``exp``.
+    """
     d -= q
     d *= d
     d /= neg_s2  # -(d / s2) bitwise: IEEE division is sign-symmetric
-    np.exp(d, out=d)
+    # the minimum is a cheaper test than building the mask on the many
+    # blocks that have no such lane
+    if d.min() < _EXP_ZERO:
+        zero = np.less(d, _EXP_ZERO, out=zero)
+        np.exp(d, out=d, where=~zero)
+        np.copyto(d, 0.0, where=zero)
+    else:
+        np.exp(d, out=d)
     d *= w
 
 
@@ -254,12 +282,14 @@ def _functional_outputs(
             d.sum(axis=2).sum(axis=1, out=raw[0, lo:hi])
     else:
         L = points.shape[1]
-        bufs = [np.empty(L * K * min(B, _ROW_CHUNK)) for _ in range(5)]
+        size = L * K * min(B, _ROW_CHUNK)
+        # five float blocks and the bool work array of _kernel_terms
+        bufs = [np.empty(size) for _ in range(5)] + [np.empty(size, dtype=bool)]
         w_rows = 0
         for lo in range(0, B, _ROW_CHUNK):
             hi = min(lo + _ROW_CHUNK, B)
             b = hi - lo
-            pts, offs, d, q, w = (a[: L * K * b].reshape(L, K, b) for a in bufs)
+            pts, offs, d, q, w, zero = (a[: L * K * b].reshape(L, K, b) for a in bufs)
             if b != w_rows:  # only the last chunk can be shorter
                 w[...] = weights[:, None, None]
                 w_rows = b
@@ -276,7 +306,7 @@ def _functional_outputs(
             for j in range(n_rows):
                 np.multiply(alphas[j], offs, out=d)
                 np.subtract(pts, d, out=d)
-                _kernel_terms(d, q, w, neg_s2)
+                _kernel_terms(d, q, w, neg_s2, zero)
                 _slab_sum(_slab_sum(d, d[0]), raw[j, lo:hi])
     # the sum over K divided by K is what mean(axis=1) computes, without
     # its per-call overhead

@@ -148,11 +148,20 @@ def toeplitz(profile) -> np.ndarray:
 
 
 def silverman_sigma(s) -> float:
-    """Silverman's rule bandwidth: 1.06 * std * N^(-1/5)."""
+    """Silverman's rule bandwidth: 1.06 * std * N^(-1/5); a series whose std
+    passes the double range raises :class:`DataError`."""
     x = _values(s)
     if len(x) < 2:
         raise ParameterError("silverman_sigma requires at least 2 samples")
-    sd = float(np.std(x))
+    # values near 1e153 or beyond overflow the sum of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(x))
+    if not sd < np.inf:
+        raise DataError(
+            f"the series is too large for Silverman's rule (largest magnitude "
+            f"{np.abs(x).max():.3g}): its standard deviation passes the double "
+            "range; rescale it"
+        )
     if sd == 0.0:
         raise DegenerateSeriesError("cannot pick a bandwidth for a constant series")
     return check_width("sigma", 1.06 * sd * len(x) ** (-0.2))

@@ -445,6 +445,36 @@ class TestPredict:
         model = fw.load_model(model_path)
         assert reported == pytest.approx(model.train_mse, rel=1e-12)
 
+    def test_squared_error_past_the_double_range(self, tmp_path, capsys):
+        # a klms model of a white input against a desired signal of +-1e307:
+        # fit and predict both score it inf and exit 0, with no warning
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(300)
+        z = np.where(rng.standard_normal(300) > 0, 1e307, -1e307)
+        xp, zp = tmp_path / "x.csv", tmp_path / "z.csv"
+        fw.write_series_csv(fw.Series(x), xp)
+        fw.write_series_csv(fw.Series(z), zp)
+        series = ("--series", str(xp), "--desired", str(zp))
+        fit_cfg = write_json(
+            tmp_path / "fit.json",
+            {"method": "klms", "order_L": 3, "horizon": 0, "standardize": False},
+        )
+        model_path = tmp_path / "m.npz"
+        code, stdout, stderr = run(
+            capsys, "fit", "--config", fit_cfg, *series, "--out", str(model_path)
+        )
+        assert (code, stderr) == (0, "") and "training MSE inf\n" in stdout
+        pred_cfg = write_json(tmp_path / "pred.json", {"standardize": False})
+        out = tmp_path / "pred.csv"
+        code, stdout, stderr = run(
+            capsys, "predict", "--config", pred_cfg, "--model", str(model_path),
+            *series, "--out", str(out),
+        )
+        assert (code, stderr) == (0, "")
+        assert "test MSE inf over 298 windows\n" in stdout
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert len(rows) == 298 and {r[3] for r in rows} == {"inf"}
+
     @pytest.mark.parametrize("method", ["wiener", "krr"])
     def test_baseline_model_supplies_its_horizon(self, tmp_path, capsys, method):
         # a model fitted at horizon 0 is scored at horizon 0 by default

@@ -63,6 +63,17 @@ class TestFwfConfig:
             {"order_L": 10, "alpha": (0.2, float("nan"))},
             {"order_L": 10, "alpha": [10**400]},
             {"order_L": 10, "alpha": [[0.1]]},
+            # arrays: a 1-d alpha is a grid with the list's checks, and
+            # nothing else takes an array
+            {"order_L": 10, "alpha": np.array([])},
+            {"order_L": 10, "alpha": np.array([0.5, -0.1])},
+            {"order_L": 10, "alpha": np.array([0.5, np.nan])},
+            {"order_L": 10, "alpha": np.array([True])},
+            {"order_L": 10, "alpha": np.array([[0.1]])},
+            {"order_L": 10, "alpha": np.array(0.1)},
+            {"order_L": 10, "ridge": np.array([1e-3, 1e-2])},
+            {"order_L": 10, "ridge": np.array([1e-3])},
+            {"order_L": 10, "ridge": np.array(1e-3)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -87,6 +98,16 @@ class TestFwfConfig:
         assert all(type(a) is float for a in cfg.alpha)
         assert cfg == fw.FwfConfig(order_L=10, alpha=(0.3, 1.0))
         assert hash(cfg) == hash(fw.FwfConfig(order_L=10, alpha=(0.3, 1.0)))
+
+    def test_alpha_grid_from_an_array(self, small_data):
+        grid = fwf_core.DEFAULT_ALPHA_GRID
+        cfg = fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=grid)
+        assert type(cfg.alpha) is tuple and cfg.alpha == tuple(grid)
+        assert all(type(a) is float for a in cfg.alpha)
+        assert cfg == fw.FwfConfig(order_L=10, sigma_input=0.5, alpha=list(grid))
+        assert fw.FwfConfig(order_L=10, alpha=np.arange(1, 3)).alpha == (1.0, 2.0)
+        auto = fw.fit(small_data, fw.FwfConfig(order_L=10, sigma_input=0.5))
+        assert_same_fit(fw.fit(small_data, cfg), auto)
 
 
 class TestGVector:
@@ -550,6 +571,106 @@ class TestSlabSum:
             if got.tobytes() != x.sum(axis=-1).tobytes():
                 differ.append(n)
         assert differ == []
+
+
+class MaskedExpSpy:
+    """Stands in for ``np.exp``; records for each call the share of lanes it
+    was told to skip (0 for a plain call)."""
+
+    def __init__(self, exp):
+        self.exp = exp
+        self.skipped = []
+
+    def __call__(self, x, *args, where=True, **kwargs):
+        self.skipped.append(1.0 - float(np.mean(where)))
+        return self.exp(x, *args, where=where, **kwargs)
+
+
+@pytest.fixture
+def exp_spy(monkeypatch):
+    spy = MaskedExpSpy(np.exp)
+    monkeypatch.setattr(np, "exp", spy)
+    return spy
+
+
+class TestExpUnderflow:
+    """Lanes under ``_EXP_ZERO`` skip ``exp`` and take +0.0 instead."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1001])
+    def test_exp_is_positive_zero_at_and_below_the_bound(self, n):
+        # the premise of the skip: a numpy whose exp breaks it must fail here
+        bound = fwf_core._EXP_ZERO
+        assert bound <= -746.0
+        for v in (bound, np.nextafter(bound, -np.inf), bound - 0.5, -800.0,
+                  -1e4, -1e300, -np.finfo(float).max, -np.inf):
+            out = np.exp(np.full(n, v))
+            assert out.tobytes() == np.zeros(n).tobytes(), v
+
+    def test_kernel_terms_bitwise_equal_to_plain_exp(self, exp_spy):
+        rng = np.random.default_rng(3)
+        d = rng.uniform(-40.0, 40.0, (10, 2, 300))
+        q = rng.uniform(-1.0, 1.0, (10, 1, 300))
+        w = rng.standard_normal((10, 1, 1))
+        neg_s2 = -2.0 * 0.7 * 0.7
+        # normal, subnormal-result, just under the bound and infinite lanes,
+        # without and with a NaN lane
+        far = np.sqrt(-neg_s2 * np.array([745.0, 746.0, 750.0, 1e3]))
+        d[0, 0, :4] = q[0, 0, :4] + far
+        d[1, 0, 0] = np.inf
+        for nan in (False, True):
+            d[1, 1, 0] = np.nan if nan else 0.5
+            plain = d.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain -= q
+                plain *= plain
+                plain /= neg_s2
+                plain = np.exp(plain) * w
+                for zero in (None, np.empty(d.shape, dtype=bool)):
+                    got = d.copy()
+                    exp_spy.skipped.clear()
+                    fwf_core._kernel_terms(got, q, w, neg_s2, zero)
+                    assert got.tobytes() == plain.tobytes()
+                    # a NaN sends the block down the plain path
+                    assert (exp_spy.skipped[0] == 0.0) == nan
+
+    def test_search_bitwise_equal_with_no_some_and_all_lanes_skipped(
+        self, chunk_series, exp_spy
+    ):
+        # a small width and a grid up to 8: at the top of the grid the short
+        # last chunk has every lane under the bound, the full one most
+        n_rows = fwf_core._ROW_CHUNK + 3
+        data = fw.embed(fw.Series(chunk_series.values[: n_rows + 10]), 10, 1)
+        cfg = fw.FwfConfig(order_L=10, sigma_input=0.02)
+        grid = np.geomspace(0.01, 8.0, 20)
+        s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
+        args = (data, grid, s_in, weights, offsets, nbr_idx)
+        exp_spy.skipped.clear()  # the width and offsets call exp too
+        alphas, stats, best = fwf_core._search_alpha(*args)
+        skipped = exp_spy.skipped
+        assert len(skipped) == 2 * len(grid)
+        assert 0.0 in skipped and 1.0 in skipped
+        assert any(0.0 < f < 1.0 for f in skipped)
+        ref_alpha, ref_stats = oracles.alpha_search(*args)
+        assert stats == ref_stats
+        assert float(alphas[best]) == ref_alpha
+
+    def test_far_off_queries_bitwise_equal_to_oracle(self, small_model, exp_spy):
+        # shifts of 0 to 40 in a width of 0.5: a full chunk with some lanes
+        # under the bound, then a short chunk and one window with all
+        n = fwf_core._ROW_CHUNK + 5
+        X = small_model.train_windows[np.arange(n) % small_model.n_train]
+        X = X + np.linspace(0.0, 40.0, n)[:, None]
+        batch = fw.predict_batch(small_model, X)
+        one = fw.predict(small_model, X[-1])
+        assert exp_spy.skipped[-1] == 1.0
+        assert any(0.0 < f < 1.0 for f in exp_spy.skipped)
+        nbr_idx, _ = neighbors.query_batch(small_model.neighbor_index, X, 2)
+        ref = oracles.functional_outputs(
+            small_model.weights, small_model.partners, nbr_idx, X,
+            small_model.sigma_input,
+        ) - small_model.bias
+        assert batch.tobytes() == ref.tobytes()
+        assert one == batch[-1]
 
 
 class TestAgainstLinearBaseline:

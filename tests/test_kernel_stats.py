@@ -394,6 +394,23 @@ class TestSilverman:
         with pytest.raises(DegenerateSeriesError):
             fw.silverman_sigma(np.ones(10))
 
+    def test_scale_past_the_double_range(self):
+        # 300 samples near 1e153 overflow the sum of squares: a data error
+        # from every fit that applies the rule, with no numpy warning
+        x = np.random.default_rng(0).standard_normal(300)
+        big = x * 1e153
+        data = fw.embed_pair(fw.Series(big), fw.Series(big), 3, 0)
+        for estimate in (
+            lambda: fw.silverman_sigma(big),
+            lambda: fw.krls_fit(data),
+            lambda: fw.klms_fit(data),
+            lambda: fw.fit(data, fw.FwfConfig(order_L=3, horizon=0)),
+        ):
+            with pytest.raises(DataError, match=r"too large .*e\+153\)"):
+                estimate()
+        # an ordinary series keeps the formula's bits
+        assert fw.silverman_sigma(x) == 1.06 * float(np.std(x)) * 300 ** (-0.2)
+
     def test_needs_two_samples(self):
         with pytest.raises(ParameterError):
             fw.silverman_sigma(np.array([1.0]))
