@@ -2,11 +2,12 @@
 
 Subcommands cover the full pipeline: ``generate`` produces benchmark
 series, ``fit`` trains a model on a series CSV (an fwf fit picks alpha over
-a grid), ``predict`` scores a model against a series, and ``bench`` runs the
-cross-validated comparison plus timing sweep.  Configuration is a single
-JSON document per command; every command validates fully before writing
-anything, echoes the effective configuration next to its output, and maps
-errors to exit code 2 (configuration) or 3 (runtime/data).
+a grid), ``predict`` scores a model against a series at the task the model
+file records, and ``bench`` runs the cross-validated comparison plus timing
+sweep.  Configuration is a single JSON document per command; every command
+validates fully before writing anything, echoes the effective configuration
+next to its output, and maps errors to exit code 2 (configuration) or 3
+(runtime/data).
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import evalbench, fwf_core, model_io
+from . import evalbench, model_io
 from .errors import DataError, FilterError, ParameterError, check_int
 from .signal_gen import (
     Series,
@@ -74,9 +73,14 @@ def _read_series(path) -> Series:
 
 
 def _embed_from(args, cfg: dict, L: int, horizon: int):
+    """The (window, target) pairs of ``--series`` (and ``--desired``),
+    standardized unless the config's ``standardize`` is false."""
+    scaled = cfg.get("standardize", True)
+    if not isinstance(scaled, bool):
+        raise ParameterError(f"standardize must be true or false, got {scaled!r}")
     s = _read_series(args.series)
-    desired = _read_series(args.desired) if getattr(args, "desired", None) else None
-    if cfg.get("standardize", True):
+    desired = _read_series(args.desired) if args.desired else None
+    if scaled:
         s = standardize(s)
         if desired is not None:
             desired = standardize(desired)
@@ -86,10 +90,10 @@ def _embed_from(args, cfg: dict, L: int, horizon: int):
 
 
 def cmd_generate(args) -> int:
+    """Write ``n`` samples of the configured dataset, seeded by ``seed``."""
     cfg = _load_json(args.config)
     dataset, n = cfg.get("dataset"), check_int("n", cfg.get("n"), 1)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    seed = check_int("seed", seed, 0)
+    seed = check_int("seed", cfg.get("seed", 0), 0)
     params = {k: v for k, v in cfg.items() if k not in ("dataset", "n", "seed")}
     # checks the dataset and every generator key before anything is written
     out = evalbench.make_series(dataset, params, seed, n)
@@ -112,26 +116,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# config keys every task command reads itself; the rest are hyperparameters
-_TASK_KEYS = ("order_L", "horizon", "standardize")
-
-
-def _task(cfg: dict, L: int, horizon: int):
-    """Validated ``order_L`` and ``horizon`` of a fit or predict config
-    (``L`` and ``horizon`` where absent) and its remaining keys; checks that
-    ``standardize`` is a bool."""
-    L = check_int("order_L", cfg.get("order_L", L), 1)
-    horizon = check_int("horizon", cfg.get("horizon", horizon), 0)
-    if not isinstance(cfg.get("standardize", True), bool):
-        raise ParameterError(
-            f"standardize must be true or false, got {cfg['standardize']!r}"
-        )
-    return L, horizon, {k: v for k, v in cfg.items() if k not in _TASK_KEYS}
-
-
 def cmd_fit(args) -> int:
+    """Fit the configured method to ``--series`` and save the model."""
     cfg = _load_json(args.config)
-    L, horizon, hyper = _task(cfg, 10, 1)
+    L = check_int("order_L", cfg.get("order_L", 10), 1)
+    horizon = check_int("horizon", cfg.get("horizon", 1), 0)
+    hyper = {k: v for k, v in cfg.items()
+             if k not in ("order_L", "horizon", "standardize")}
     method = hyper.pop("method", None)
     fit_fn = evalbench.make_fitter(method, hyper, L, horizon)
     data = _embed_from(args, cfg, L, horizon)
@@ -158,26 +149,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Score a model at the order, horizon and K its file records; the
+    config may set only ``standardize``."""
     cfg = _load_json(args.config) if args.config else {}
-    model = model_io.load_model(args.model)
-    L, horizon, rest = _task(cfg, model.order_L, model.horizon)
-    if L != model.order_L:
+    unknown = sorted(set(cfg) - {"standardize"})
+    if unknown:
         raise ParameterError(
-            f"config order_L={L} does not match model order_L={model.order_L}"
+            f"unknown predict config keys: {unknown}; the model file sets the "
+            "order, horizon and number of neighbors"
         )
-    k = rest.pop("k_neighbors", None)
-    if rest:
-        raise ParameterError(f"unknown predict config keys: {sorted(rest)}")
-    if k is not None:
-        if model.kind != "fwf":
-            raise ParameterError("k_neighbors applies only to fwf models")
-        check_int("k_neighbors", k, 1)
-    data = _embed_from(args, cfg, L, horizon)
-    if k is None:
-        pred = model.predict(data.windows)
-    else:
-        pred = fwf_core.predict_batch(model, data.windows, k)
-    pred = np.atleast_1d(np.asarray(pred, dtype=float))
+    model = model_io.load_model(args.model)
+    data = _embed_from(args, cfg, model.order_L, model.horizon)
+    pred = model.predict(data.windows)
     err = evalbench.squared_errors(pred, data.targets)
     with open(args.out, "w") as f:
         f.write("index,prediction,target,squared_error\n")
@@ -187,15 +170,14 @@ def cmd_predict(args) -> int:
             )
     total = evalbench.mse(pred, data.targets)
     print("test MSE %.17g over %d windows" % (total, len(data)))
-    _echo_config({**cfg, "order_L": L, "horizon": horizon}, args.out)
+    _echo_config({"standardize": cfg.get("standardize", True)}, args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
+    """Run the cross-validated experiment and the timing sweep."""
     raw = _load_json(args.config)
     timing_cfg = raw.pop("timing", None)
-    if args.seed is not None:
-        raw["seed"] = args.seed
     try:
         cfg = evalbench.ExperimentConfig(**raw)
     except TypeError as exc:  # an unknown or missing field
@@ -244,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="produce a benchmark series CSV")
     common(p)
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(handler=cmd_generate, config_required=True)
 
     p = sub.add_parser("fit", help="train a model on a series CSV")
@@ -262,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the cross-validated benchmark")
     common(p)
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(handler=cmd_bench, config_required=True)
     return parser
 

@@ -63,7 +63,6 @@ _BASELINE_KEYS = {
     "klms": {**_SIGMA, "eta": baselines.check_eta},
     "krls": {**_SIGMA, "lam": check_nonneg},
 }
-_BASELINE_KEYS["krr"] = _BASELINE_KEYS["krls"]  # krr_fit is krls_fit
 METHODS = ("fwf", *_BASELINE_KEYS)
 
 RESULTS_HEADER = "method,n_train,fold,mse,fit_seconds,predict_us_per_query"
@@ -90,8 +89,9 @@ class ExperimentConfig:
     """Benchmark definition: data source, embedding, sizes, methods.
 
     ``generator`` holds dataset-specific parameters (missing fields use the
-    generator defaults); each entry of ``methods`` is a mapping with a
-    ``name`` key plus that method's hyperparameters.
+    generator defaults; the sizes set the sample count); each entry of
+    ``methods`` is a mapping with a ``name`` key plus that method's
+    hyperparameters.
     """
 
     dataset: str
@@ -240,8 +240,8 @@ def _reals(key: str, values) -> list[float]:
 
 
 def make_series(dataset: str, params: dict, seed: int, n: int):
-    """Instantiate a generator config and produce ``n`` samples, or the
-    ``n`` of ``params``; every key is checked before anything runs.
+    """Instantiate a generator config and produce ``n`` samples; every key
+    of ``params`` is checked before anything runs.
 
     Returns a Series for the chaotic systems and an (input, desired) pair
     for the FIR process.
@@ -249,7 +249,7 @@ def make_series(dataset: str, params: dict, seed: int, n: int):
     if not isinstance(params, dict):
         raise ParameterError(f"generator must be a JSON object, got {params!r}")
     p = dict(params)
-    n = check_int("n", p.pop("n", n), 1)
+    n = check_int("n", n, 1)
     # warmup and init keep the generator's defaults unless params set them
     checks = {"warmup": lambda k, v: check_int(k, v, 0)}
     if dataset == "mackey_glass":
@@ -351,11 +351,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     need = max(cfg.train_sizes) + gap + cfg.folds * cfg.test_size
     data = make_dataset(cfg, need)
     splits = kfold(data, cfg.folds, cfg.test_size)
-    if len(splits[0][0]) < max(cfg.train_sizes):
-        raise ParameterError(
-            f"training range has {len(splits[0][0])} rows; "
-            f"largest requested size is {max(cfg.train_sizes)}"
-        )
     table = ResultTable()
     for name, fit_fn in fitters:
         for n_train in cfg.train_sizes:

@@ -22,6 +22,7 @@ from .errors import (
     ParameterError,
     check_real,
 )
+from .signal_gen import _scale_error
 
 __all__ = [
     "check_width",
@@ -148,23 +149,21 @@ def toeplitz(profile) -> np.ndarray:
 
 
 def silverman_sigma(s) -> float:
-    """Silverman's rule bandwidth: 1.06 * std * N^(-1/5); a series whose std
-    passes the double range raises :class:`DataError`."""
+    """Silverman's rule bandwidth: 1.06 * std * N^(-1/5); a non-constant
+    series whose scale gives no width :func:`check_width` accepts raises
+    :class:`DataError`."""
     x = _values(s)
     if len(x) < 2:
         raise ParameterError("silverman_sigma requires at least 2 samples")
     # values near 1e153 or beyond overflow the sum of squares
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(x))
-    if not sd < np.inf:
-        raise DataError(
-            f"the series is too large for Silverman's rule (largest magnitude "
-            f"{np.abs(x).max():.3g}): its standard deviation passes the double "
-            "range; rescale it"
-        )
-    if sd == 0.0:
+    if sd == 0.0 and (x == x[0]).all():
         raise DegenerateSeriesError("cannot pick a bandwidth for a constant series")
-    return check_width("sigma", 1.06 * sd * len(x) ** (-0.2))
+    try:
+        return check_width("sigma", 1.06 * sd * len(x) ** (-0.2))
+    except ParameterError:
+        raise _scale_error(x, sd, "Silverman's rule") from None
 
 
 def resolve_width(w, x) -> float:

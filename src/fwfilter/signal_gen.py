@@ -305,15 +305,32 @@ def embed_pair(x: Series, z: Series, L: int, horizon: int) -> Dataset:
 def standardize(s: Series) -> Series:
     """Center and scale to zero mean, unit population variance.
 
-    The original mean and standard deviation are recorded on the result.
+    The original mean and standard deviation are recorded on the result.  A
+    non-constant series whose standard deviation passes the double range or
+    underflows to 0 raises :class:`DataError`.
     """
     if len(s) < 2:
         raise ParameterError("standardize requires at least 2 samples")
-    mu = float(np.mean(s.values))
-    sd = float(np.std(s.values))
-    if sd == 0.0:
+    v = s.values
+    # the sums can pass the double range; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(v))
+        sd = float(np.std(v))
+    if sd == 0.0 and (v == v[0]).all():
         raise DegenerateSeriesError("cannot standardize a zero-variance series")
-    return Series((s.values - mu) / sd, mean=mu, std=sd)
+    if not 0.0 < sd < np.inf:
+        raise _scale_error(v, sd, "standardization")
+    return Series((v - mu) / sd, mean=mu, std=sd)
+
+
+def _scale_error(v: np.ndarray, sd: float, use: str) -> DataError:
+    """The error for a non-constant series whose standard deviation ``sd``
+    is out of the range that ``use`` can work with."""
+    side = "small" if sd < 1.0 else "large"
+    return DataError(
+        f"the series is too {side} for {use} (standard deviation {sd:.3g}, "
+        f"largest magnitude {np.abs(v).max():.3g}); rescale it"
+    )
 
 
 def write_series_csv(s: Series, path) -> None:

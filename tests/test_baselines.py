@@ -294,13 +294,8 @@ class TestKrls:
             fw.krls_fit(data, lam=-1e-6)
 
     def test_krr_is_same_estimator(self):
+        # a binding kept for callers of the old name; no config names krr
         assert fw.krr_fit is fw.krls_fit
-        data = white_identity_data(150, 14, 3)
-        hyper = {"lam": 1e-5, "sigma": 0.7}
-        a = fw.make_fitter("krls", hyper, 3, 0)(data)
-        b = fw.make_fitter("krr", hyper, 3, 0)(data)
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-        assert a.variant == b.variant == "krls"
 
 
 class TestKafPredict:

@@ -85,15 +85,26 @@ class TestGenerate:
         assert out.exists() and (tmp_path / "fir.desired.csv").exists()
 
     def test_seed_reproducibility(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "gen.json", {"dataset": "fir", "n": 50})
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        for out, seed in ((a, "5"), (b, "5"), (c, "6")):
-            code, _, _ = run(
-                capsys, "generate", "--config", cfg, "--out", str(out), "--seed", seed
+        for out, seed in ((a, 5), (b, 5), (c, 6)):
+            cfg = write_json(
+                tmp_path / "gen.json", {"dataset": "fir", "n": 50, "seed": seed}
             )
+            code, _, _ = run(capsys, "generate", "--config", cfg, "--out", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_seed_flag_removed(self, tmp_path, capsys, command):
+        # the config's seed is the one seed
+        cfg = write_json(tmp_path / "c.json", {"dataset": "fir", "n": 50, "seed": 5})
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--seed", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 6" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     def test_invalid_generator_parameter(self, tmp_path, capsys):
         cfg = write_json(
@@ -248,13 +259,16 @@ class TestFit:
         assert "nope.csv" in stderr
 
     def test_unknown_method(self, tmp_path, capsys, mg_csv):
-        cfg = write_json(tmp_path / "fit.json", {"method": "arima"})
-        code, _, stderr = run(
-            capsys, "fit", "--config", cfg, "--series", mg_csv,
-            "--out", str(tmp_path / "m.npz"),
-        )
-        assert code == 2
-        assert "fwf" in stderr  # valid methods listed
+        # krr was a second name of the krls fit
+        for method in ("arima", "krr"):
+            cfg = write_json(tmp_path / "fit.json", {"method": method})
+            out = tmp_path / "m.npz"
+            code, _, stderr = run(
+                capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out)
+            )
+            assert_one_line_error(code, stderr, method)
+            assert "fwf" in stderr  # valid methods listed
+            assert not out.exists()
 
     def test_unknown_hyperparameter(self, tmp_path, capsys, mg_csv):
         cfg = write_json(
@@ -401,6 +415,35 @@ class TestFit:
         assert key in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["klms", "krls", "fwf"])
+    @pytest.mark.parametrize(
+        "standardize, scale, message",
+        [(False, 1e-160, "too small for Silverman's rule"),
+         (False, 1e-170, "too small for Silverman's rule"),
+         (False, 1e153, "too large for Silverman's rule"),
+         (True, 1e-170, "too small for standardization"),
+         (True, 1e153, "too large for standardization")],
+    )
+    def test_series_scale_out_of_range(
+        self, tmp_path, capsys, method, standardize, scale, message
+    ):
+        # a series too small or too large for its std: exit 3, not a width error
+        series = tmp_path / "x.csv"
+        x = np.random.default_rng(0).standard_normal(300) * scale
+        fw.write_series_csv(fw.Series(x), series)
+        cfg = write_json(
+            tmp_path / "fit.json",
+            {"method": method, "order_L": 3, "standardize": standardize},
+        )
+        out = tmp_path / "m.npz"
+        code, stdout, stderr = run(
+            capsys, "fit", "--config", cfg, "--series", str(series), "--out", str(out)
+        )
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert message in stderr
+        assert not out.exists()
+
     def test_width_too_small_for_the_series(self, tmp_path, capsys):
         # a valid width, but every off-lag correntropy value underflows to 0
         series = tmp_path / "mg400.csv"
@@ -475,7 +518,7 @@ class TestPredict:
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 298 and {r[3] for r in rows} == {"inf"}
 
-    @pytest.mark.parametrize("method", ["wiener", "krr"])
+    @pytest.mark.parametrize("method", ["wiener", "fwf", "klms"])
     def test_baseline_model_supplies_its_horizon(self, tmp_path, capsys, method):
         # a model fitted at horizon 0 is scored at horizon 0 by default
         x, z = fw.gen_fir_process([0.3, -0.2, 0.1], 2000, noise_seed=3)
@@ -561,7 +604,7 @@ class TestPredict:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("method", ["wiener", "klms", "krls", "krr"])
+    @pytest.mark.parametrize("method", ["wiener", "klms", "krls"])
     def test_k_neighbors_rejected_for_baselines(
         self, tmp_path, capsys, mg_csv, method
     ):
@@ -583,15 +626,33 @@ class TestPredict:
         assert not out.exists()
 
     def test_unread_key_rejected(self, tmp_path, capsys, mg_csv):
+        # the model file sets the order, horizon and K; the config names
+        # none of them, not even at the model's own values
         model_path = self.fit_model(tmp_path, capsys, mg_csv)
-        cfg = write_json(tmp_path / "pred.json", {"k_neighbour": 7})
-        out = tmp_path / "p.csv"
-        code, _, stderr = run(
-            capsys, "predict", "--config", cfg, "--model", str(model_path),
-            "--series", mg_csv, "--out", str(out),
+        for key, value in [("k_neighbour", 7), ("horizon", 8), ("k_neighbors", 3),
+                           ("order_L", 10), ("horizon", 1)]:
+            cfg = write_json(tmp_path / "pred.json", {key: value})
+            out = tmp_path / "p.csv"
+            code, _, stderr = run(
+                capsys, "predict", "--config", cfg, "--model", str(model_path),
+                "--series", mg_csv, "--out", str(out),
+            )
+            assert_one_line_error(code, stderr, key)
+            assert not out.exists() and not (tmp_path / "p.config.json").exists()
+
+    def test_echoed_config_round_trips(self, tmp_path, capsys, mg_csv):
+        # the echo holds only keys predict accepts, so it can be fed back
+        model_path = self.fit_model(tmp_path, capsys, mg_csv)
+        args = ("--model", str(model_path), "--series", mg_csv)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(capsys, "predict", *args, "--out", str(first))[0] == 0
+        echo = tmp_path / "a.config.json"
+        assert json.loads(echo.read_text()) == {"standardize": True}
+        code, _, _ = run(
+            capsys, "predict", "--config", str(echo), *args, "--out", str(second)
         )
-        assert_one_line_error(code, stderr, "k_neighbour")
-        assert not out.exists()
+        assert code == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_missing_model_file(self, tmp_path, capsys, mg_csv):
         code, _, stderr = run(
@@ -661,15 +722,17 @@ class TestBench:
         assert mse_cols[0] == mse_cols[1]
 
     def test_unknown_method_listed(self, tmp_path, capsys):
-        cfg = write_json(
-            tmp_path / "bench.json",
-            {"dataset": "fir", "methods": [{"name": "lstm"}]},
-        )
-        code, _, stderr = run(
-            capsys, "bench", "--config", cfg, "--out", str(tmp_path / "o")
-        )
-        assert code == 2
-        assert "krls" in stderr
+        # krr was a second name of the krls fit
+        for method in ("lstm", "krr"):
+            cfg = write_json(
+                tmp_path / "bench.json",
+                {"dataset": "fir", "methods": [{"name": method}]},
+            )
+            out = tmp_path / "o"
+            code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(out))
+            assert_one_line_error(code, stderr, method)
+            assert "krls" in stderr
+            assert not out.exists()
 
     def test_short_timing_sizes_rejected_before_running(self, tmp_path, capsys):
         # with no timing block the sweep reuses train_sizes, which is too short
@@ -733,7 +796,10 @@ class TestBench:
         "dataset,params,key",
         BAD_GENERATOR_KEYS + [("mackey_glass", 5, "generator"),
                               ("mackey_glass", {"n": "x"}, "n")]
-        + REMOVED_GENERATOR_KEYS,
+        + REMOVED_GENERATOR_KEYS
+        # train_sizes, folds and test_size set the sample count; generate's
+        # n is its top-level count, so this case is bench's alone
+        + [("mackey_glass", {"n": 5000}, "n")],
     )
     def test_bad_generator_block(self, tmp_path, capsys, dataset, params, key):
         cfg = write_json(

@@ -41,13 +41,13 @@ FIT_KEYS = {
     "wiener": ["ridge"],
     "klms": ["sigma", "eta"],
     "krls": ["sigma", "lam"],
-    "krr": ["sigma", "lam"],
 }
 TASK_KEYS = ["order_L", "horizon", "standardize", "seed", "bogus"]
 # bench document keys; a dotted key names a key inside a block
 BENCH_KEYS = [
     "dataset", "generator", "order_L", "horizon", "train_sizes", "folds",
     "test_size", "methods", "seed", "bogus", "timing", "generator.downsample",
+    "generator.n",
     "methods.0.name", "methods.0.sigma_input", "methods.1.ridge",
     "methods.2.eta", "timing.method", "timing.sizes", "timing.repeats",
     "timing.queries", "timing.bogus",
@@ -117,9 +117,10 @@ def values_for(key):
 def fit_cases(draw):
     method = draw(st.sampled_from(sorted(FIT_KEYS)))
     key = draw(st.sampled_from(FIT_KEYS[method] + TASK_KEYS + ["method"]))
-    # fwf's alpha also takes a grid
-    grids = st.lists(VALUES, max_size=3) if key == "alpha" else st.nothing()
-    return method, key, draw(st.one_of(values_for(key), grids))
+    # fwf's alpha also takes a grid; krr is a removed method name
+    extra = {"alpha": st.lists(VALUES, max_size=3),
+             "method": st.sampled_from(sorted(FIT_KEYS) + ["krr"])}
+    return method, key, draw(st.one_of(values_for(key), extra.get(key, st.nothing())))
 
 
 @SETTINGS
@@ -138,6 +139,8 @@ def fit_cases(draw):
 @example(("fwf", "alpha", [0.2, 0.5]))
 @example(("klms", "eta", HUGE))
 @example(("klms", "eta", 5))
+# a removed method name
+@example(("fwf", "method", "krr"))
 def test_fit_contract(files, case):
     method, key, value = case
     series, _ = files
@@ -172,6 +175,9 @@ def bench_cases(draw):
 @example(("methods.2.eta", 6))
 @example(("test_size", HUGE))
 @example(("generator.downsample", HUGE))
+# removed settings: a method name and the generator's sample count
+@example(("methods.0.name", "krr"))
+@example(("generator.n", 5000))
 def test_bench_contract(case):
     cfg = {
         "dataset": "mackey_glass", "generator": {"downsample": 1},

@@ -411,6 +411,27 @@ class TestSilverman:
         # an ordinary series keeps the formula's bits
         assert fw.silverman_sigma(x) == 1.06 * float(np.std(x)) * 300 ** (-0.2)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_scale_too_small(self, scale):
+        # at 1e-160 the rule's width is under check_width's range, and at
+        # 1e-170 the squares underflow so the std is 0: either way a data
+        # error naming the series' scale, not a width or constant-series error
+        x = np.random.default_rng(0).standard_normal(300) * scale
+        data = fw.embed_pair(fw.Series(x), fw.Series(x), 3, 0)
+        for estimate in (
+            lambda: fw.silverman_sigma(x),
+            lambda: fw.krls_fit(data),
+            lambda: fw.klms_fit(data),
+            lambda: fw.fit(data, fw.FwfConfig(order_L=3, horizon=0)),
+        ):
+            with pytest.raises(DataError, match=r"too small .*e-1[67]0\)"):
+                estimate()
+        # a truly constant series, and a width the caller sets, keep their errors
+        with pytest.raises(DegenerateSeriesError, match="constant"):
+            fw.silverman_sigma(np.full(300, scale))
+        with pytest.raises(ParameterError, match="kernel width"):
+            fw.klms_fit(data, sigma=scale)
+
     def test_needs_two_samples(self):
         with pytest.raises(ParameterError):
             fw.silverman_sigma(np.array([1.0]))

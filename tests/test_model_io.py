@@ -95,12 +95,20 @@ MODULE_PREDICT = {
     "krr": fw.kaf_predict,
 }
 HYPER = {"fwf": {"sigma_input": 0.8, "alpha": 0.4}, "wiener": {}}
+# every method, and krr_fit, the old name of krls_fit that stays public
+NAMES = (*evalbench.METHODS, "krr")
+
+
+def fit(name, data, horizon=0):
+    if name == "krr":
+        return fw.krr_fit(data, sigma=0.7)
+    return evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, horizon)(data)
 
 
 class TestProtocolRoundtrip:
-    @pytest.mark.parametrize("name", evalbench.METHODS)
+    @pytest.mark.parametrize("name", NAMES)
     def test_order_and_predict_survive(self, fir_data, tmp_path, rng, name):
-        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        m = fit(name, fir_data)
         path = tmp_path / "m.npz"
         fw.save_model(m, path)
         back = fw.load_model(path)
@@ -121,7 +129,7 @@ LAYOUT = {
        for k in ("klms", "krls")},
 }
 # the kind each method's models save as; krr is the krls fit
-KIND = {**{name: name for name in evalbench.METHODS}, "krr": "krls"}
+KIND = {**{name: name for name in NAMES}, "krr": "krls"}
 
 
 def read_npz(path):
@@ -130,9 +138,9 @@ def read_npz(path):
 
 
 class TestEnvelope:
-    @pytest.mark.parametrize("name", evalbench.METHODS)
+    @pytest.mark.parametrize("name", NAMES)
     def test_layout(self, fir_data, tmp_path, name):
-        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        m = fit(name, fir_data)
         path = tmp_path / "m.npz"
         fw.save_model(m, path)
         data = read_npz(path)
@@ -142,13 +150,12 @@ class TestEnvelope:
         assert str(data["kind"]) == m.kind == KIND[name]
         assert list(json.loads(str(data["meta"]))) == scalars
 
-    @pytest.mark.parametrize("name", evalbench.METHODS)
+    @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("horizon", [0, 3])
     def test_horizon_survives(self, tmp_path, name, horizon):
         x, z = fw.gen_fir_process([0.4, 0.2], 200, noise_seed=5)
         data = fw.embed_pair(x, z, 3, horizon)
-        hyper = HYPER.get(name, {"sigma": 0.7})
-        m = evalbench.make_fitter(name, hyper, 3, horizon)(data)
+        m = fit(name, data, horizon)
         path = tmp_path / "m.npz"
         fw.save_model(m, path)
         assert m.horizon == fw.load_model(path).horizon == horizon
@@ -157,7 +164,7 @@ class TestEnvelope:
     def test_baseline_file_without_horizon_serves_horizon_1(
         self, fir_data, tmp_path, rng, name
     ):
-        m = evalbench.make_fitter(name, HYPER.get(name, {"sigma": 0.7}), 3, 0)(fir_data)
+        m = fit(name, fir_data)
         path = tmp_path / "m.npz"
         fw.save_model(m, path)
         data = read_npz(path)

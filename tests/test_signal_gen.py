@@ -362,6 +362,19 @@ class TestStandardize:
         with pytest.raises(DegenerateSeriesError):
             fw.standardize(fw.Series(np.ones(3)))
 
+    @pytest.mark.parametrize(
+        "scale, side", [(1e-170, "small"), (1e153, "large"), (1e300, "large")]
+    )
+    def test_scale_out_of_range(self, scale, side):
+        # squares that all underflow, or sums past the double range, leave
+        # no usable std: a data error naming the scale, with no numpy warning
+        x = np.random.default_rng(0).standard_normal(300) * scale
+        with pytest.raises(DataError, match=f"too {side} for standardization") as exc:
+            fw.standardize(fw.Series(x))
+        assert not isinstance(exc.value, DegenerateSeriesError)
+        with pytest.raises(DegenerateSeriesError):
+            fw.standardize(fw.Series(np.full(300, scale)))
+
     def test_needs_two_samples(self):
         with pytest.raises(ParameterError):
             fw.standardize(fw.Series(np.array([1.0])))
