@@ -6,8 +6,8 @@ a grid), ``predict`` scores a model against a series at the task the model
 file records, and ``bench`` runs the cross-validated comparison plus timing
 sweep.  Configuration is a single JSON document per command; every command
 validates fully before writing anything, echoes the effective configuration
-next to its output, and maps errors to exit code 2 (configuration) or 3
-(runtime/data).
+next to its output, and maps errors, usage errors included, to one stderr
+line and exit code 2 (configuration or usage) or 3 (runtime/data).
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from pathlib import Path
 
 from . import evalbench, model_io
 from .errors import DataError, FilterError, ParameterError, check_int
-from .signal_gen import (
-    Series,
-    embed,
-    embed_pair,
-    read_series_csv,
-    standardize,
-    write_series_csv,
-)
+from .signal_gen import embed, embed_pair, read_series_csv, standardize, write_series_csv
 
 __all__ = ["main"]
 
@@ -40,9 +33,9 @@ _EPILOG = (
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -65,21 +58,14 @@ def _echo_config(cfg: dict, out_path) -> None:
         f.write("\n")
 
 
-def _read_series(path) -> Series:
-    try:
-        return read_series_csv(path)
-    except OSError as exc:
-        raise DataError(f"cannot read series file {path}: {exc}") from exc
-
-
 def _embed_from(args, cfg: dict, L: int, horizon: int):
     """The (window, target) pairs of ``--series`` (and ``--desired``),
     standardized unless the config's ``standardize`` is false."""
     scaled = cfg.get("standardize", True)
     if not isinstance(scaled, bool):
         raise ParameterError(f"standardize must be true or false, got {scaled!r}")
-    s = _read_series(args.series)
-    desired = _read_series(args.desired) if args.desired else None
+    s = read_series_csv(args.series)
+    desired = read_series_csv(args.desired) if args.desired else None
     if scaled:
         s = standardize(s)
         if desired is not None:
@@ -212,54 +198,55 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach :func:`main`'s handler;
+    subparsers are made from the same class."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fwf",
         description="Correntropy-domain Wiener filtering toolkit",
         epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON configuration file")
+    def common(p, handler, required=True):
+        p.add_argument("--config", required=required, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output path")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("generate", help="produce a benchmark series CSV")
-    common(p)
-    p.set_defaults(handler=cmd_generate, config_required=True)
+    common(sub.add_parser("generate", help="produce a benchmark series CSV"),
+           cmd_generate)
 
     p = sub.add_parser("fit", help="train a model on a series CSV")
-    common(p)
+    common(p, cmd_fit)
     p.add_argument("--series", required=True, help="training series CSV")
     p.add_argument("--desired", help="optional desired-signal series CSV")
-    p.set_defaults(handler=cmd_fit, config_required=True)
 
     p = sub.add_parser("predict", help="score a model against a series CSV")
-    common(p)
+    common(p, cmd_predict, required=False)
     p.add_argument("--model", required=True, help="fitted model file (.npz)")
     p.add_argument("--series", required=True, help="evaluation series CSV")
     p.add_argument("--desired", help="optional desired-signal series CSV")
-    p.set_defaults(handler=cmd_predict, config_required=False)
 
-    p = sub.add_parser("bench", help="run the cross-validated benchmark")
-    common(p)
-    p.set_defaults(handler=cmd_bench, config_required=True)
+    common(sub.add_parser("bench", help="run the cross-validated benchmark"),
+           cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.config_required and not args.config:
-        print("error: --config is required for this command", file=sys.stderr)
-        return 2
+    """Run one command; every error ends here, as one ``error:`` line on
+    stderr and exit 2 (configuration or usage) or 3 (runtime or data)."""
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except FilterError as exc:
+    except (FilterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

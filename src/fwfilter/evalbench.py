@@ -42,7 +42,6 @@ __all__ = [
     "squared_errors",
     "make_series",
     "make_dataset",
-    "fwf_config",
     "make_fitter",
     "run_experiment",
     "check_timing",
@@ -304,14 +303,6 @@ def _subset(data: Dataset, n_rows: int) -> Dataset:
     )
 
 
-def fwf_config(hyper: dict, order_L: int, horizon: int) -> fwf_core.FwfConfig:
-    """The filter configuration for a method entry's hyperparameters."""
-    try:
-        return fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
-    except TypeError as exc:
-        raise ParameterError(f"invalid fwf parameters: {exc}") from exc
-
-
 def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     """Validated fit for one method: fit(Dataset) -> model.
 
@@ -322,7 +313,10 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     hyper = dict(hyper)
     hyper.pop("name", None)
     if name == "fwf":
-        cfg = fwf_config(hyper, order_L, horizon)
+        try:
+            cfg = fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
+        except TypeError as exc:  # an unknown key
+            raise ParameterError(f"invalid fwf parameters: {exc}") from exc
         return lambda d: fwf_core.fit(d, cfg)
     if name not in METHODS:
         raise ParameterError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")

@@ -115,7 +115,9 @@ class FwfConfig:
 
 @dataclass
 class FwfModel:
-    """Fitted filter state; immutable by convention after :func:`fit`."""
+    """Fitted filter state; immutable by convention after :func:`fit`.
+    Construction checks the arrays' shapes and finiteness, the width, alpha
+    and bias, so an edited model file fails at load, not at predict."""
 
     weights: np.ndarray
     partners: np.ndarray
@@ -130,6 +132,24 @@ class FwfModel:
     neighbor_index: neighbors.NeighborIndex
 
     kind = "fwf"
+
+    def __post_init__(self):
+        if np.ndim(self.train_targets) != 1:
+            raise DimensionError("train_targets must be a 1-d array")
+        N, L = len(self.train_targets), self.config.order_L
+        for name, shape in (("weights", (L,)), ("partners", (N, L)),
+                            ("train_windows", (N, L))):
+            a = getattr(self, name)
+            if np.shape(a) != shape:
+                raise DimensionError(
+                    f"{name} must have shape {shape}, got {np.shape(a)}"
+                )
+            if not np.isfinite(a).all():
+                raise ParameterError(f"{name} must be finite")
+        check_width("sigma_input", self.sigma_input)
+        _check_alpha(self.alpha)
+        if not np.isfinite(check_real("bias", self.bias)):
+            raise ParameterError(f"bias must be finite, got {self.bias!r}")
 
     @property
     def n_train(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import neighbors
 from .baselines import KAF_VARIANTS, KafModel, WienerModel
-from .errors import DataError
+from .errors import DataError, FilterError
 from .fwf_core import FwfConfig, FwfModel
 
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
@@ -91,5 +91,5 @@ def load_model(path):
         if kind == "wiener":
             return WienerModel(**fields)
         return KafModel(**fields, variant=kind)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (FilterError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

@@ -302,12 +302,17 @@ def embed_pair(x: Series, z: Series, L: int, horizon: int) -> Dataset:
     )
 
 
+# the smallest standard deviation whose variance is a normal double, 2**-511
+# (about 1.5e-154); a subnormal variance has lost significant bits
+_MIN_SD = float(np.sqrt(np.finfo(float).tiny))
+
+
 def standardize(s: Series) -> Series:
     """Center and scale to zero mean, unit population variance.
 
     The original mean and standard deviation are recorded on the result.  A
-    non-constant series whose standard deviation passes the double range or
-    underflows to 0 raises :class:`DataError`.
+    non-constant series whose standard deviation passes the double range,
+    or is under ``_MIN_SD``, raises :class:`DataError`.
     """
     if len(s) < 2:
         raise ParameterError("standardize requires at least 2 samples")
@@ -318,7 +323,7 @@ def standardize(s: Series) -> Series:
         sd = float(np.std(v))
     if sd == 0.0 and (v == v[0]).all():
         raise DegenerateSeriesError("cannot standardize a zero-variance series")
-    if not 0.0 < sd < np.inf:
+    if not _MIN_SD <= sd < np.inf:
         raise _scale_error(v, sd, "standardization")
     return Series((v - mu) / sd, mean=mu, std=sd)
 
@@ -342,15 +347,19 @@ def write_series_csv(s: Series, path) -> None:
 
 
 def read_series_csv(path) -> Series:
-    """Read a series written by :func:`write_series_csv`."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "value":
-            raise DataError(f"expected header 'value' in {path}, got {header!r}")
-        try:
+    """Read a series written by :func:`write_series_csv`; a file that
+    cannot be read as UTF-8 text raises :class:`DataError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if header != "value":
+                raise DataError(f"expected header 'value' in {path}, got {header!r}")
             values = np.array([float(line) for line in f if line.strip()])
-        except ValueError as exc:
-            raise DataError(f"non-numeric sample in {path}: {exc}") from exc
+    # UnicodeDecodeError is a ValueError, so it is caught first
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read series file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"non-numeric sample in {path}: {exc}") from exc
     if values.size == 0:
         raise DataError(f"no samples in {path}")
     return Series(values)

@@ -100,11 +100,11 @@ class TestGenerate:
         # the config's seed is the one seed
         cfg = write_json(tmp_path / "c.json", {"dataset": "fir", "n": 50, "seed": 5})
         out = tmp_path / "o.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg, "--out", str(out), "--seed", "6"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 6" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+        code, stdout, stderr = run(
+            capsys, command, "--config", cfg, "--out", str(out), "--seed", "6"
+        )
+        assert_one_line_error(code, stderr, "unrecognized arguments: --seed 6")
+        assert stdout == "" and list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     def test_invalid_generator_parameter(self, tmp_path, capsys):
         cfg = write_json(
@@ -936,10 +936,8 @@ class TestTune:
 
     def test_tune_command_removed(self, tmp_path, capsys, mg_csv):
         cfg = write_json(tmp_path / "tune.json", {"order_L": 10, "grid": [0.2]})
-        with pytest.raises(SystemExit) as exc:
-            main(["tune", "--config", cfg, "--series", mg_csv])
-        assert exc.value.code == 2
-        assert "invalid choice: 'tune'" in capsys.readouterr().err
+        code, _, stderr = run(capsys, "tune", "--config", cfg, "--series", mg_csv)
+        assert_one_line_error(code, stderr, "invalid choice: 'tune'")
 
     @pytest.mark.parametrize(
         "grid",

@@ -9,6 +9,11 @@ configuration with one key replaced by an arbitrary JSON value ends in exit
 Every key also draws a 401-digit integer, past the double range and every
 array size, except ``timing.repeats``: a huge repeat count is a valid sweep
 that never ends, not an error.
+
+Fixed cases cover the argument list and the files: a usage error (a removed
+flag or command, a missing command or option) ends in exit 2, and an
+unreadable or non-UTF-8 config or series file, or an edited model file, in
+exit 3; each prints exactly one ``error:`` line and writes no file.
 """
 
 import contextlib
@@ -17,6 +22,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -189,3 +195,127 @@ def test_bench_contract(case):
                    "queries": 20},
     }
     check_contract("bench", put(cfg, *case))
+
+
+def check_fault(root, code, named, *argv):
+    """Run ``argv`` and assert exit ``code`` with one ``error:`` line that
+    holds ``named``, and no new file under ``root``."""
+    before = sorted(root.rglob("*"))
+    got, err = run(*argv)
+    assert got == code, (argv, got, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert named in err, (argv, err)
+    assert sorted(root.rglob("*")) == before
+
+
+# argument lists with {gen}, {fit} (valid configs), {series}, {model} and
+# {out} placeholders, and a phrase the one-line message must hold
+USAGE_FAULTS = {
+    "seed-flag": (["generate", "--config", "{gen}", "--out", "{out}", "--seed", "3"],
+                  "unrecognized arguments: --seed 3"),
+    "tune-command": (["tune", "--config", "{gen}", "--series", "{series}"],
+                     "invalid choice: 'tune'"),
+    "no-command": ([], "command"),
+    "no-out": (["generate", "--config", "{gen}"], "--out"),
+    "no-series": (["fit", "--config", "{fit}", "--out", "{out}"], "--series"),
+    "no-model": (["predict", "--series", "{series}", "--out", "{out}"], "--model"),
+    "no-config-generate": (["generate", "--out", "{out}"], "--config"),
+    "no-config-fit": (["fit", "--series", "{series}", "--out", "{out}"], "--config"),
+    "no-config-bench": (["bench", "--out", "{out}"], "--config"),
+}
+
+# bytes that are not UTF-8
+NON_UTF8 = b"\x89PNG\r\n\x1a\n\x00\xff\xfe"
+
+# argument lists with {binary} (a non-UTF-8 file) and {dir} placeholders too
+FILE_FAULTS = {
+    "binary-config": ["generate", "--config", "{binary}", "--out", "{out}"],
+    "directory-config": ["generate", "--config", "{dir}", "--out", "{out}"],
+    "binary-series": ["fit", "--config", "{fit}", "--series", "{binary}",
+                      "--out", "{out}"],
+    "binary-desired": ["fit", "--config", "{fit}", "--series", "{series}",
+                       "--desired", "{binary}", "--out", "{out}"],
+    "directory-series": ["fit", "--config", "{fit}", "--series", "{dir}",
+                         "--out", "{out}"],
+    "binary-predict-series": ["predict", "--model", "{model}", "--series",
+                              "{binary}", "--out", "{out}"],
+}
+
+
+@pytest.fixture
+def fault_dir(files, tmp_path):
+    """A directory of fault inputs and the placeholder paths into it."""
+    series, models = files
+    (tmp_path / "gen.json").write_text(json.dumps({"dataset": "fir", "n": 50}))
+    (tmp_path / "fit.json").write_text(json.dumps({"method": "wiener", "order_L": 5}))
+    (tmp_path / "binary.dat").write_bytes(NON_UTF8)
+    (tmp_path / "sub").mkdir()
+    paths = {"gen": tmp_path / "gen.json", "fit": tmp_path / "fit.json",
+             "series": series, "model": models["wiener"], "out": tmp_path / "out",
+             "binary": tmp_path / "binary.dat", "dir": tmp_path / "sub"}
+    return tmp_path, paths
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_FAULTS))
+def test_usage_fault(fault_dir, case):
+    root, paths = fault_dir
+    argv, named = USAGE_FAULTS[case]
+    check_fault(root, 2, named, *(a.format(**paths) for a in argv))
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_file_fault(fault_dir, case):
+    root, paths = fault_dir
+    bad = "binary.dat" if "binary" in case else "sub"
+    check_fault(root, 3, bad, *(a.format(**paths) for a in FILE_FAULTS[case]))
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: fwf" in capsys.readouterr().out
+
+
+# edits to a good model file: its kind, then an array and a function of it,
+# or a dotted meta key and its new value
+MODEL_EDITS = {
+    "short-weights": ("fwf", "weights", lambda w: w[:3]),
+    "few-partners": ("fwf", "partners", lambda p: p[:10]),
+    "nan-weights": ("fwf", "weights", lambda w: np.full_like(w, np.nan)),
+    "1d-windows": ("fwf", "train_windows", lambda x: x[:, 0]),
+    "3-column-windows": ("fwf", "train_windows", lambda x: x[:, :3]),
+    "short-targets": ("fwf", "train_targets", lambda t: t[:-1]),
+    "2d-wiener-weights": ("wiener", "weights", lambda w: w[None]),
+    "negative-width": ("fwf", "sigma_input", -1),
+    "zero-alpha": ("fwf", "alpha", 0.0),
+    "nan-bias": ("fwf", "bias", float("nan")),
+    "order-7-config": ("fwf", "config.order_L", 7),
+}
+
+
+def edited_model(files, tmp_path, kind, key=None, change=None):
+    """A copy of the good ``kind`` model file with one edit, if given."""
+    with np.load(files[1][kind]) as f:
+        arrays = {k: f[k] for k in f.files}
+    if callable(change):
+        arrays[key] = change(arrays[key])
+    elif key is not None:
+        arrays["meta"] = json.dumps(put(json.loads(str(arrays["meta"])), key, change))
+    path = tmp_path / "edited.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["fwf", "wiener"])
+def test_unedited_copy_predicts(files, tmp_path, kind):
+    model = edited_model(files, tmp_path, kind)
+    assert run("predict", "--model", model, "--series", files[0],
+               "--out", tmp_path / "p.csv") == (0, "")
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_EDITS))
+def test_malformed_model_file(files, tmp_path, case):
+    model = edited_model(files, tmp_path, *MODEL_EDITS[case])
+    check_fault(tmp_path, 3, "malformed model file", "predict", "--model", model,
+                "--series", files[0], "--out", tmp_path / "p.csv")

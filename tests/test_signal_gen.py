@@ -363,11 +363,14 @@ class TestStandardize:
             fw.standardize(fw.Series(np.ones(3)))
 
     @pytest.mark.parametrize(
-        "scale, side", [(1e-170, "small"), (1e153, "large"), (1e300, "large")]
+        "scale, side",
+        [(1e-155, "small"), (1e-160, "small"), (1e-170, "small"),
+         (1e153, "large"), (1e300, "large")],
     )
     def test_scale_out_of_range(self, scale, side):
-        # squares that all underflow, or sums past the double range, leave
-        # no usable std: a data error naming the scale, with no numpy warning
+        # a subnormal variance (std under about 1.5e-154) has lost bits,
+        # squares that all underflow or sums past the double range leave no
+        # std at all: a data error naming the scale, with no numpy warning
         x = np.random.default_rng(0).standard_normal(300) * scale
         with pytest.raises(DataError, match=f"too {side} for standardization") as exc:
             fw.standardize(fw.Series(x))
@@ -378,6 +381,14 @@ class TestStandardize:
     def test_needs_two_samples(self):
         with pytest.raises(ParameterError):
             fw.standardize(fw.Series(np.array([1.0])))
+
+    @pytest.mark.parametrize("scale", [1e-150, 2.0**-500])
+    def test_small_normal_variance_kept(self, scale):
+        # a variance that is still a normal double standardizes as before
+        v = np.random.default_rng(0).standard_normal(300) * scale
+        s = fw.standardize(fw.Series(v))
+        assert s.mean == np.mean(v) and s.std == np.std(v)
+        np.testing.assert_array_equal(s.values, (v - np.mean(v)) / np.std(v))
 
     def test_records_original_stats(self, rng):
         raw = fw.Series(rng.normal(2.0, 0.5, 500))
@@ -413,6 +424,26 @@ class TestSeriesCsv:
         path.write_text("value\n1.0\nhello\n")
         with pytest.raises(DataError):
             fw.read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"\x89PNG\r\n\x1a\n\x00\xff", b"value\n" + b"1.0\n" * 10000 + b"\xff\n"],
+        ids=["directory", "binary", "binary-past-first-block"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        # a directory, or bytes that are not UTF-8, at the start or past the
+        # first block the reader decodes
+        path = tmp_path / "s.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match="cannot read series file .*s.csv"):
+            fw.read_series_csv(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="nope.csv"):
+            fw.read_series_csv(tmp_path / "nope.csv")
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
