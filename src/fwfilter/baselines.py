@@ -240,7 +240,11 @@ def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     lam = check_nonneg("lam", lam)
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
-    K = np.exp(-_sq_dists(X, X) / (2.0 * sig * sig))
+    K = _sq_dists(X, X)
+    # -d / s2 and exp in place, so the Gram is the only N x N array
+    np.negative(K, out=K)
+    K /= 2.0 * sig * sig
+    np.exp(K, out=K)
     alpha = solve_weights(K, z, lam)
     return KafModel(X, alpha, sig, "krls", data.horizon)
 

@@ -36,13 +36,15 @@ def _load_json(path) -> dict:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+        raise DataError(f"cannot read config file {str(path)!r}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except ValueError as exc:  # invalid JSON, or an integer over 4300 digits
-        raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ParameterError(
+            f"config file {str(path)!r} is not valid JSON: {exc}"
+        ) from exc
     if not isinstance(cfg, dict):
-        raise ParameterError(f"config file {path} must hold a JSON object")
+        raise ParameterError(f"config file {str(path)!r} must hold a JSON object")
     return cfg
 
 

@@ -52,8 +52,12 @@ G_FLOOR = 1e-300
 RESIDUAL_TOL = 1e-10
 
 # query rows per block of the functional evaluation; at K=2 and L=10 the
-# alpha sweep's five L x K x b blocks take 1.6 MB
+# alpha sweep's five L x K x b blocks take 1.6 MB, whatever the number of
+# alphas in a pass (see _pass_rows)
 _ROW_CHUNK = 2048
+
+# bytes of raw sweep outputs that one pass of the alpha search may hold
+_PASS_BYTES = 16 * 2**20
 
 # exp rounds every argument below this to +0.0: exp(-746) is about 1e-324,
 # under half the smallest subnormal.  numpy's exp takes a slow path for
@@ -178,9 +182,13 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     b = np.asarray(Pv, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise DimensionError("system dimensions do not match")
-    A_r = np.asarray_chkfinite(A + ridge * np.eye(A.shape[0]))
+    # V + ridge I as one Fortran-ordered copy that dpotrf factors in place;
+    # adding 0.0 off the diagonal turns -0.0 into +0.0, as ridge * eye does
+    A_r = np.add(A, 0.0, order="F")
+    np.fill_diagonal(A_r, A.diagonal() + ridge)
+    np.asarray_chkfinite(A_r)
     # info > 0 is the 1-based index of the first non-positive pivot
-    c, info = lapack.dpotrf(A_r, lower=1, clean=0)
+    c, info = lapack.dpotrf(A_r, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise ConditioningError(
             f"regularized system not positive definite (pivot {info}); "
@@ -192,7 +200,7 @@ def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     # targets near the double limit overflow the norms; both checks below
     # report it, so numpy's warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.linalg.norm(A_r @ w - b)
+        resid = np.linalg.norm(A @ w + ridge * w - b)
         b_norm = np.linalg.norm(b)
     if b_norm == np.inf:
         raise DataError("the right-hand side's norm is not finite; "
@@ -270,7 +278,8 @@ def _functional_outputs(
     B x K neighbor rows per query.  With ``offsets=None`` the partners are
     ``points`` and the result has one row; otherwise row ``j`` uses the
     partners ``points - alphas[j]*offsets``.  Returns a ``rows x B`` array
-    of raw outputs (no bias subtraction).
+    of raw outputs (no bias subtraction); :func:`_search_alpha` bounds its
+    size by passing a slice of its grid at a time.
 
     Queries are taken in chunks of ``_ROW_CHUNK`` rows.  Per element the
     steps are ``d = (P - a*O) - Q``, ``d*d``, division by
@@ -369,27 +378,48 @@ def _prepare(data: Dataset, cfg: FwfConfig):
     return s_in, ridge, weights, offsets, index, nbr_idx
 
 
-def _train_stats(raw, targets):
-    """Training bias and MSE of one row of raw outputs; targets near the
-    double limit give an infinite MSE, which :func:`_search_alpha` reports."""
+def _train_stats(raw, targets, target_mean):
+    """Training bias and MSE of one row of raw outputs, given
+    ``np.mean(targets)``; targets near the double limit give an infinite
+    MSE, which :func:`_search_alpha` reports."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bias = float(np.mean(raw) - np.mean(targets))
+        bias = float(np.mean(raw) - target_mean)
         mse = float(np.mean((raw - bias - targets) ** 2))
     return bias, mse
 
 
+def _pass_rows(n_train: int, order_L: int) -> int:
+    """Grid alphas per pass of the alpha search over ``n_train`` windows:
+    as many raw output rows as fit in ``_PASS_BYTES``, but never fewer than
+    ``order_L``.  Each pass gathers the neighbors' points and offsets anew,
+    so the floor keeps that a small share of the pass; where it applies, a
+    pass holds the bytes of the training windows."""
+    return max(order_L, _PASS_BYTES // (8 * n_train))
+
+
 def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
-    """Evaluate every grid alpha on the training set in one kernel pass.
+    """Evaluate every grid alpha on the training set.
+
+    The sorted grid is taken in passes of :func:`_pass_rows` alphas.  Each
+    pass evaluates its alphas with one :func:`_functional_outputs` call,
+    scores each raw row and drops the block, so the sweep holds one pass of
+    ``rows x N`` raw outputs at a time.  A row's bits do not depend on the
+    alphas beside it, so the statistics do not depend on the pass size.
 
     Returns the sorted grid, the training ``(bias, mse)`` at each of its
     points, and the index of the lowest MSE; ties go to the smaller alpha.
     Raises :class:`DataError` when no alpha has a finite MSE.
     """
     alphas = np.sort(grid)
-    raw = _functional_outputs(
-        weights, data.windows, nbr_idx, data.windows, s_in, offsets, alphas
-    )
-    stats = [_train_stats(r, data.targets) for r in raw]
+    X, z = data.windows, data.targets
+    z_mean = np.mean(z)
+    rows = _pass_rows(len(z), X.shape[1])
+    stats = []
+    for lo in range(0, len(alphas), rows):
+        part = alphas[lo : lo + rows]
+        raw = _functional_outputs(weights, X, nbr_idx, X, s_in, offsets, part)
+        stats += [_train_stats(r, z, z_mean) for r in raw]
+        del raw  # freed before the next pass allocates its block
     best, best_mse = 0, np.inf
     for j, (_, mse) in enumerate(stats):
         if mse < best_mse:
@@ -404,8 +434,9 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
 def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     """Fit the filter: weights, partner set, neighbor index, bias.
 
-    One pass of the functional kernel on the alpha-free state evaluates
-    every alpha of the grid (see :class:`FwfConfig`); ties go to the smaller alpha.
+    The functional kernel on the alpha-free state evaluates every alpha of
+    the grid (see :class:`FwfConfig`) in passes of bounded memory; ties go
+    to the smaller alpha.
     """
     s_in, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
     grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else cfg.alpha

@@ -64,22 +64,22 @@ def load_model(path):
         with np.load(path, allow_pickle=False) as f:
             data = {k: f[k] for k in f.files}
     except FileNotFoundError as exc:
-        raise DataError(f"model file not found: {path}") from exc
+        raise DataError(f"model file not found: {str(path)!r}") from exc
     except (ValueError, OSError) as exc:
-        raise DataError(f"unreadable model file {path}: {exc}") from exc
+        raise DataError(f"unreadable model file {str(path)!r}: {exc}") from exc
     try:
         version = int(data["format_version"])
         # krr files from before it became a name of the krls fit
         kind = {"krr": "krls"}.get(str(data["kind"]), str(data["kind"]))
         meta = json.loads(str(data["meta"]))
     except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed model file {path}: {exc}") from exc
+        raise DataError(f"malformed model file {str(path)!r}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise DataError(
             f"model format version {version} not supported (expected {FORMAT_VERSION})"
         )
     if kind not in _FIELDS:
-        raise DataError(f"unknown model kind {kind!r} in {path}")
+        raise DataError(f"unknown model kind {kind!r} in {str(path)!r}")
     arrays, scalars = _FIELDS[kind]
     try:
         meta = {"horizon": 1, **meta}  # baseline files from before it was recorded
@@ -92,4 +92,4 @@ def load_model(path):
             return WienerModel(**fields)
         return KafModel(**fields, variant=kind)
     except (FilterError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model file {path}: {exc}") from exc
+        raise DataError(f"malformed model file {str(path)!r}: {exc}") from exc

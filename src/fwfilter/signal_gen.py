@@ -353,13 +353,15 @@ def read_series_csv(path) -> Series:
         with open(path, encoding="utf-8") as f:
             header = f.readline().strip()
             if header != "value":
-                raise DataError(f"expected header 'value' in {path}, got {header!r}")
+                raise DataError(
+                    f"expected header 'value' in {str(path)!r}, got {header!r}"
+                )
             values = np.array([float(line) for line in f if line.strip()])
     # UnicodeDecodeError is a ValueError, so it is caught first
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read series file {path}: {exc}") from exc
+        raise DataError(f"cannot read series file {str(path)!r}: {exc}") from exc
     except ValueError as exc:
-        raise DataError(f"non-numeric sample in {path}: {exc}") from exc
+        raise DataError(f"non-numeric sample in {str(path)!r}: {exc}") from exc
     if values.size == 0:
-        raise DataError(f"no samples in {path}")
+        raise DataError(f"no samples in {str(path)!r}")
     return Series(values)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, lapack
 from scipy.spatial.distance import cdist
 
 from fwfilter.errors import (
@@ -107,6 +108,18 @@ def rkhs_inner(coef_a, coef_b, profile: np.ndarray) -> float:
                 )
             total += ca * cb * profile[lag]
     return total
+
+
+def solve_weights(V, Pv, ridge: float):
+    """(V + ridge I) W = Pv through an explicit ``ridge * eye`` copy,
+    ``dpotrf`` and ``cho_solve``.  Returns the weights, or ``None`` when
+    the factorization fails, and LAPACK's ``info``: 0, or the 1-based index
+    of the first non-positive pivot."""
+    A_r = np.asarray(V, dtype=float) + ridge * np.eye(len(V))
+    c, info = lapack.dpotrf(A_r, lower=1, clean=0)
+    if info > 0:
+        return None, info
+    return cho_solve((c, True), np.asarray(Pv, dtype=float)), info
 
 
 def functional_outputs(weights, partners, nbr_idx, queries, sigma_input):

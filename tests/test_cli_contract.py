@@ -12,8 +12,9 @@ that never ends, not an error.
 
 Fixed cases cover the argument list and the files: a usage error (a removed
 flag or command, a missing command or option) ends in exit 2, and an
-unreadable or non-UTF-8 config or series file, or an edited model file, in
-exit 3; each prints exactly one ``error:`` line and writes no file.
+unreadable or non-UTF-8 config or series file, a missing file whose name
+holds a newline, or an edited model file, in exit 3; each prints exactly
+one ``error:`` line and writes no file.
 """
 
 import contextlib
@@ -227,7 +228,8 @@ USAGE_FAULTS = {
 # bytes that are not UTF-8
 NON_UTF8 = b"\x89PNG\r\n\x1a\n\x00\xff\xfe"
 
-# argument lists with {binary} (a non-UTF-8 file) and {dir} placeholders too
+# argument lists with {binary} (a non-UTF-8 file), {dir} and {newline} (a
+# missing file whose name holds a newline) placeholders too
 FILE_FAULTS = {
     "binary-config": ["generate", "--config", "{binary}", "--out", "{out}"],
     "directory-config": ["generate", "--config", "{dir}", "--out", "{out}"],
@@ -239,7 +241,14 @@ FILE_FAULTS = {
                          "--out", "{out}"],
     "binary-predict-series": ["predict", "--model", "{model}", "--series",
                               "{binary}", "--out", "{out}"],
+    "newline-config": ["generate", "--config", "{newline}", "--out", "{out}"],
+    "newline-series": ["fit", "--config", "{fit}", "--series", "{newline}",
+                       "--out", "{out}"],
+    "newline-model": ["predict", "--model", "{newline}", "--series", "{series}",
+                      "--out", "{out}"],
 }
+# the name each kind of fault file has in the one-line message
+FAULT_NAMES = {"binary": "binary.dat", "directory": "sub", "newline": r"no\nsuch"}
 
 
 @pytest.fixture
@@ -252,7 +261,8 @@ def fault_dir(files, tmp_path):
     (tmp_path / "sub").mkdir()
     paths = {"gen": tmp_path / "gen.json", "fit": tmp_path / "fit.json",
              "series": series, "model": models["wiener"], "out": tmp_path / "out",
-             "binary": tmp_path / "binary.dat", "dir": tmp_path / "sub"}
+             "binary": tmp_path / "binary.dat", "dir": tmp_path / "sub",
+             "newline": tmp_path / "no\nsuch"}
     return tmp_path, paths
 
 
@@ -266,7 +276,7 @@ def test_usage_fault(fault_dir, case):
 @pytest.mark.parametrize("case", sorted(FILE_FAULTS))
 def test_file_fault(fault_dir, case):
     root, paths = fault_dir
-    bad = "binary.dat" if "binary" in case else "sub"
+    bad = FAULT_NAMES[case.split("-")[0]]
     check_fault(root, 3, bad, *(a.format(**paths) for a in FILE_FAULTS[case]))
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.distance import cdist
 
 import fwfilter as fw
 import oracles
@@ -170,6 +172,41 @@ class TestSolveWeights:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             fw.solve_weights(np.eye(3), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("kind", ["gram-300", "fwf", "wiener"])
+    def test_bitwise_equal_to_regularized_copy(self, mg_series, rng, kind):
+        # a krls Gram past OpenBLAS's blocking, and the L x L systems of an
+        # fwf and a wiener fit with their auto ridges
+        x, z = mg_series.values[:-1], mg_series.values[1:]
+        if kind == "gram-300":
+            X = rng.standard_normal((300, 5))
+            V, b, ridge = np.exp(-cdist(X, X, "sqeuclidean") / 2.0), z[:300], 1e-6
+        else:
+            if kind == "fwf":
+                V = fw.toeplitz(fw.autocorrentropy(x, 10, 0.5))
+                b = fw.crosscorrentropy(x, z, 10, 0.5)
+            else:
+                V = fw.toeplitz(fw.autocovariance(x, 10))
+                b = fw.crosscovariance(x, z, 10)
+            ridge = fw.auto_ridge(V)
+        V_bytes = V.tobytes()
+        ref, info = oracles.solve_weights(V, b, ridge)
+        assert info == 0
+        assert fw.solve_weights(V, b, ridge).tobytes() == ref.tobytes()
+        assert V.tobytes() == V_bytes
+
+    def test_pivot_matches_regularized_copy_past_blocking(self, rng):
+        X = rng.standard_normal((300, 5))
+        V = np.exp(-cdist(X, X, "sqeuclidean") / 2.0)
+        V[200, 200] = -1.0
+        _, info = oracles.solve_weights(V, np.ones(300), 1e-6)
+        with pytest.raises(ConditioningError) as exc:
+            fw.solve_weights(V, np.ones(300), 1e-6)
+        assert exc.value.pivot == info == 201
+
+    def test_right_hand_side_norm_overflow_raises(self):
+        with pytest.raises(DataError, match="right-hand side"):
+            fw.solve_weights(np.eye(2), np.array([1e308, 1e308]), 0.0)
 
 
 class TestEvaluateFunctional:
@@ -453,6 +490,28 @@ def chunk_series():
     return fw.standardize(fw.gen_mackey_glass(fw.MGParams(), n))
 
 
+def chunk_data(chunk_series, extra):
+    """An order-10 dataset of ``_ROW_CHUNK + extra`` windows."""
+    n_rows = fwf_core._ROW_CHUNK + extra
+    data = fw.embed(fw.Series(chunk_series.values[: n_rows + 10]), 10, 1)
+    assert len(data) == n_rows
+    return data
+
+
+def check_curve(data, cfg):
+    """Assert that the search's curve and pick on the default grid, and a
+    fit's, equal the per-alpha loop's bitwise; return the fit."""
+    (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+        data, cfg, fwf_core.DEFAULT_ALPHA_GRID
+    )
+    assert stats == ref_stats
+    assert float(alphas[best]) == ref_alpha
+    m = fw.fit(data, cfg)
+    assert m.alpha == ref_alpha
+    assert (m.bias, m.train_mse) == ref_stats[best]
+    return m
+
+
 def search_and_oracle(data, cfg, grid):
     s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
     args = (data, grid, s_in, weights, offsets, nbr_idx)
@@ -476,19 +535,32 @@ class TestTuneAlpha:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("extra", [-1, 0, 1, fwf_core._ROW_CHUNK + 3])
     def test_curve_bitwise_equal_to_per_alpha_loop(self, chunk_series, k, extra):
-        n_rows = fwf_core._ROW_CHUNK + extra
-        data = fw.embed(fw.Series(chunk_series.values[: n_rows + 10]), 10, 1)
-        assert len(data) == n_rows
         cfg = fw.FwfConfig(order_L=10, k_neighbors=k)
-        grid = fwf_core.DEFAULT_ALPHA_GRID
-        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
-            data, cfg, grid
-        )
-        assert stats == ref_stats
-        assert float(alphas[best]) == ref_alpha
-        m = fw.fit(data, cfg)
-        assert m.alpha == ref_alpha
-        assert (m.bias, m.train_mse) == ref_stats[best]
+        check_curve(chunk_data(chunk_series, extra), cfg)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, fwf_core._ROW_CHUNK + 3])
+    def test_curve_bitwise_equal_in_passes(
+        self, chunk_series, monkeypatch, extra, k, rows
+    ):
+        # the default rule takes the 50-point grid in one pass here; 3 and
+        # 7 rows a pass leave a shorter last pass
+        data = chunk_data(chunk_series, extra)
+        cfg = fw.FwfConfig(order_L=10, k_neighbors=k)
+        assert fwf_core._pass_rows(len(data), 10) >= 50
+        one_pass = fw.fit(data, cfg)
+        passes, outputs = [], fwf_core._functional_outputs
+
+        def spy(*args):
+            passes.append(len(args[6]))
+            return outputs(*args)
+
+        monkeypatch.setattr(fwf_core, "_functional_outputs", spy)
+        monkeypatch.setattr(fwf_core, "_pass_rows", lambda n_train, order_L: rows)
+        assert_same_fit(check_curve(data, cfg), one_pass)
+        # check_curve searches once directly and once inside its fit
+        assert passes == 2 * [min(rows, 50 - lo) for lo in range(0, 50, rows)]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17, 130])
@@ -551,6 +623,30 @@ class TestTuneAlpha:
         assert g[0] == pytest.approx(0.01, rel=1e-12)
         assert g[-1] == pytest.approx(2.0, rel=1e-12)
         assert np.all(np.diff(g) > 0)
+
+
+class TestSweepMemory:
+    def test_peak_does_not_grow_with_the_grid(self):
+        # numpy reports its buffers to tracemalloc.  At N = 2e4 a pass holds
+        # at most 104 rows (15.9 MiB); the 200-point grid's raw outputs as
+        # one block would take 30.5 MiB.  The slack covers the per-point
+        # statistics, a few kB
+        s = fw.standardize(fw.gen_mackey_glass(fw.MGParams(), 20_000 + 10))
+        data = fw.embed(s, 10, 1)
+
+        def traced_peak(n_points):
+            grid = np.logspace(-2, np.log10(2), n_points)
+            cfg = fw.FwfConfig(order_L=10, alpha=grid)
+            tracemalloc.start()
+            try:
+                fw.fit(data, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = fwf_core._pass_rows(len(data), 10) * len(data) * 8
+        assert block == 104 * 20_000 * 8
+        assert traced_peak(200) <= traced_peak(10) + block + 2**20
 
 
 class TestSlabSum:
