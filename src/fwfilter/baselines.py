@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DataError, DimensionError, ParameterError, check_nonneg
+from .errors import DataError, DimensionError, ParameterError, check_int, check_nonneg
 from .fwf_core import solve_weights
 from .kernel_stats import (
     autocovariance,
@@ -78,6 +78,7 @@ class WienerModel:
             raise DimensionError("weights must be a non-empty 1-d vector")
         if not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite")
+        check_int("horizon", self.horizon, 0)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -106,8 +107,11 @@ class KafModel:
             raise DimensionError("centers must be an N x L matrix")
         if a.ndim != 1 or a.shape[0] != c.shape[0]:
             raise DimensionError("coefficients must pair 1:1 with centers")
+        if not (np.isfinite(c).all() and np.isfinite(a).all()):
+            raise ParameterError("centers and coefficients must be finite")
         if self.variant not in KAF_VARIANTS:
             raise ParameterError(f"variant must be one of {KAF_VARIANTS}")
+        check_int("horizon", self.horizon, 0)
         object.__setattr__(self, "sigma", check_width("sigma", self.sigma))
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "coefficients", a)

@@ -268,77 +268,52 @@ def _kernel_terms(d, q, w, neg_s2, zero=None):
     d *= w
 
 
-def _functional_outputs(
-    weights, points, nbr_idx, queries, sigma_input, offsets=None, alphas=None
-):
-    """Mean over neighbors of the functional at each neighbor's partner.
+def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas):
+    """Raw outputs (no bias subtraction) of the functional on the training
+    windows ``X`` at each of ``alphas``: a ``len(alphas) x N`` array whose
+    row ``j`` is :func:`predict_batch`'s raw output for ``X`` with the
+    partners ``X - alphas[j]*offsets``, bitwise.  ``nbr_idx`` is the N x K
+    neighbor rows of ``X`` in itself.
 
-    The one evaluation of the functional, used by the alpha search, the
-    fit's training statistics and :func:`predict_batch`.  ``nbr_idx`` is
-    B x K neighbor rows per query.  With ``offsets=None`` the partners are
-    ``points`` and the result has one row; otherwise row ``j`` uses the
-    partners ``points - alphas[j]*offsets``.  Returns a ``rows x B`` array
-    of raw outputs (no bias subtraction); :func:`_search_alpha` bounds its
-    size by passing a slice of its grid at a time.
-
-    Queries are taken in chunks of ``_ROW_CHUNK`` rows.  Per element the
-    steps are ``d = (P - a*O) - Q``, ``d*d``, division by
-    ``-2*sigma_input**2``, ``exp`` and the product with the weights, in that
-    order, followed by a sum over the L lags, a sum over the K neighbors
-    and one division by K; each sum adds a run in numpy's pairwise order.
-    So each row is bitwise the one a separate evaluation of its partner set
-    gives, whatever the chunking or layout.
-
-    The alpha sweep lays each chunk out lag-major: its gathered points,
-    offsets, queries and weights are ``L x K x b`` blocks, filled once per
-    chunk and reused by every alpha in one work buffer of the same shape.
-    Every pass then runs over contiguous memory, and the two sums add
-    whole contiguous slabs with :func:`_slab_sum`, which fixes the
-    summation order itself rather than relying on the internals of numpy's
-    reductions.  A prediction (``offsets=None``) evaluates one row, so it
-    keeps the natural ``b x K x L`` gather and computes in it in place: the
-    transposing copies would cost more than its short sums save.
+    Each ``_ROW_CHUNK``-row chunk is laid out lag-major: its gathered
+    windows, offsets, queries and weights are ``L x K x b`` blocks, reused
+    by every alpha in one work block of the same shape, so each pass runs
+    over contiguous memory (the shorter last chunk uses the first ``b``
+    columns).  Per element, ``X - a*offsets`` is followed by
+    :func:`_kernel_terms`; the sums over the L lags and then the K
+    neighbors add whole slabs with :func:`_slab_sum`, in the order of
+    :func:`predict_batch`'s two numpy sums, and the K-sum is divided by K.
+    So a row's bits depend neither on the chunking nor on the alphas
+    beside it.
     """
-    B, K = nbr_idx.shape
-    n_rows = 1 if offsets is None else len(alphas)
-    raw = np.empty((n_rows, B))
+    N, K = nbr_idx.shape
+    L = X.shape[1]
+    raw = np.empty((len(alphas), N))
     neg_s2 = -2.0 * sigma_input * sigma_input
-    if offsets is None:
-        for lo in range(0, B, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, B)
-            d = points[nbr_idx[lo:hi]]  # b x K x L
-            _kernel_terms(d, queries[lo:hi, None, :], weights, neg_s2)
-            d.sum(axis=2).sum(axis=1, out=raw[0, lo:hi])
-    else:
-        L = points.shape[1]
-        size = L * K * min(B, _ROW_CHUNK)
-        # five float blocks and the bool work array of _kernel_terms
-        bufs = [np.empty(size) for _ in range(5)] + [np.empty(size, dtype=bool)]
-        w_rows = 0
-        for lo in range(0, B, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, B)
-            b = hi - lo
-            pts, offs, d, q, w, zero = (a[: L * K * b].reshape(L, K, b) for a in bufs)
-            if b != w_rows:  # only the last chunk can be shorter
-                w[...] = weights[:, None, None]
-                w_rows = b
-            # gather in natural order into the work buffer, then transpose:
-            # cheaper than gathering single lags across the whole array.
-            # The tree's indices are in range, so "clip" only skips the
-            # copy that "raise" makes of an output array
-            nat = d.reshape(b, K, L)
-            np.take(points, nbr_idx[lo:hi], axis=0, out=nat, mode="clip")
-            pts[...] = nat.transpose(2, 1, 0)
-            np.take(offsets, nbr_idx[lo:hi], axis=0, out=nat, mode="clip")
-            offs[...] = nat.transpose(2, 1, 0)
-            q[...] = queries[lo:hi].T[:, None, :]
-            for j in range(n_rows):
-                np.multiply(alphas[j], offs, out=d)
-                np.subtract(pts, d, out=d)
-                _kernel_terms(d, q, w, neg_s2, zero)
-                _slab_sum(_slab_sum(d, d[0]), raw[j, lo:hi])
-    # the sum over K divided by K is what mean(axis=1) computes, without
-    # its per-call overhead
+    # the query and weight blocks stay full-shape: as broadcast L x 1 x b
+    # and L x 1 x 1 views they keep the bits but slow _kernel_terms by 15%
+    pts, offs, d, q, w = np.empty((5, L, K, min(N, _ROW_CHUNK)))
+    zero = np.empty(d.shape, dtype=bool)
+    w[...] = weights[:, None, None]
+    for lo in range(0, N, _ROW_CHUNK):
+        rows = nbr_idx[lo : lo + _ROW_CHUNK]
+        b = len(rows)
+        # gather in natural order into the work block, then transpose:
+        # cheaper than gathering single lags across the whole array.  The
+        # tree's indices are in range, so "clip" only skips the copy that
+        # "raise" makes of an output array
+        nat = d.reshape(-1)[: b * K * L].reshape(b, K, L)
+        np.take(X, rows, axis=0, out=nat, mode="clip")
+        pts[..., :b] = nat.transpose(2, 1, 0)
+        np.take(offsets, rows, axis=0, out=nat, mode="clip")
+        offs[..., :b] = nat.transpose(2, 1, 0)
+        q[..., :b] = X[lo : lo + b].T[:, None, :]
+        p_b, o_b, d_b, q_b, w_b, z_b = (a[..., :b] for a in (pts, offs, d, q, w, zero))
+        for j, a in enumerate(alphas):
+            np.multiply(a, o_b, out=d_b)
+            np.subtract(p_b, d_b, out=d_b)
+            _kernel_terms(d_b, q_b, w_b, neg_s2, z_b)
+            _slab_sum(_slab_sum(d_b, d_b[0]), raw[j, lo : lo + b])
     raw /= K
     return raw
 
@@ -401,7 +376,7 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     """Evaluate every grid alpha on the training set.
 
     The sorted grid is taken in passes of :func:`_pass_rows` alphas.  Each
-    pass evaluates its alphas with one :func:`_functional_outputs` call,
+    pass evaluates its alphas with one :func:`_sweep_outputs` call,
     scores each raw row and drops the block, so the sweep holds one pass of
     ``rows x N`` raw outputs at a time.  A row's bits do not depend on the
     alphas beside it, so the statistics do not depend on the pass size.
@@ -417,7 +392,7 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     stats = []
     for lo in range(0, len(alphas), rows):
         part = alphas[lo : lo + rows]
-        raw = _functional_outputs(weights, X, nbr_idx, X, s_in, offsets, part)
+        raw = _sweep_outputs(X, offsets, nbr_idx, weights, s_in, part)
         stats += [_train_stats(r, z, z_mean) for r in raw]
         del raw  # freed before the next pass allocates its block
     best, best_mse = 0, np.inf
@@ -463,14 +438,31 @@ def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
 
 def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
     """Predict a batch of windows; K defaults to the fitted configuration
-    clamped to the training-set size."""
+    clamped to the training-set size.
+
+    Each window's output is the mean over its K nearest training windows of
+    the functional at their partners, less the training bias.  Windows are
+    taken in chunks of ``_ROW_CHUNK`` rows, each gathered in the natural
+    ``b x K x L`` layout and computed in place: :func:`_kernel_terms`, then
+    a numpy sum over the L lags and one over the K neighbors, each adding a
+    contiguous run in pairwise order, and one division by K.
+    """
     X = np.ascontiguousarray(X, dtype=float)
     if K is None:
         K = min(m.config.k_neighbors, m.n_train)
     # the neighbor query checks the shape, finiteness and K
     nbr_idx, _ = neighbors.query_batch(m.neighbor_index, X, K)
-    raw = _functional_outputs(m.weights, m.partners, nbr_idx, X, m.sigma_input)
-    return raw[0] - m.bias
+    neg_s2 = -2.0 * m.sigma_input * m.sigma_input
+    out = np.empty(len(X))
+    for lo in range(0, len(X), _ROW_CHUNK):
+        d = m.partners[nbr_idx[lo : lo + _ROW_CHUNK]]  # b x K x L
+        _kernel_terms(d, X[lo : lo + _ROW_CHUNK, None, :], m.weights, neg_s2)
+        d.sum(axis=2).sum(axis=1, out=out[lo : lo + _ROW_CHUNK])
+    # the sum over K divided by K is what mean(axis=1) computes, without
+    # its per-call overhead
+    out /= K
+    out -= m.bias
+    return out
 
 
 def predict(m: FwfModel, x, K: int | None = None) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 
 import numpy as np
 
@@ -44,7 +43,8 @@ def _from_json(name: str, value):
         value = {**value}  # a TypeError unless the config is an object
         value.pop("sigma_weight", None)  # files from before it was removed
         return FwfConfig(**value)
-    return operator.index(value) if name == "horizon" else float(value)
+    # the models check horizon themselves, so true is not read as 1
+    return value if name == "horizon" else float(value)
 
 
 def save_model(model, path) -> None:

@@ -301,6 +301,16 @@ MODEL_EDITS = {
     "zero-alpha": ("fwf", "alpha", 0.0),
     "nan-bias": ("fwf", "bias", float("nan")),
     "order-7-config": ("fwf", "config.order_L", 7),
+    "nan-klms-coefficients": ("klms", "coefficients", lambda a: np.full_like(a, np.nan)),
+    "nan-krls-coefficients": ("krls", "coefficients", lambda a: np.full_like(a, np.nan)),
+    "inf-klms-center": ("klms", "centers", lambda c: np.vstack([c[:1] + np.inf, c[1:]])),
+    "inf-krls-center": ("krls", "centers", lambda c: np.vstack([c[:1] + np.inf, c[1:]])),
+    "negative-wiener-horizon": ("wiener", "horizon", -1),
+    "negative-klms-horizon": ("klms", "horizon", -1),
+    "negative-krls-horizon": ("krls", "horizon", -1),
+    "bool-wiener-horizon": ("wiener", "horizon", True),
+    "bool-klms-horizon": ("klms", "horizon", True),
+    "bool-krls-horizon": ("krls", "horizon", True),
 }
 
 
@@ -317,7 +327,7 @@ def edited_model(files, tmp_path, kind, key=None, change=None):
     return path
 
 
-@pytest.mark.parametrize("kind", ["fwf", "wiener"])
+@pytest.mark.parametrize("kind", ["fwf", "wiener", "klms", "krls"])
 def test_unedited_copy_predicts(files, tmp_path, kind):
     model = edited_model(files, tmp_path, kind)
     assert run("predict", "--model", model, "--series", files[0],

@@ -550,17 +550,27 @@ class TestTuneAlpha:
         cfg = fw.FwfConfig(order_L=10, k_neighbors=k)
         assert fwf_core._pass_rows(len(data), 10) >= 50
         one_pass = fw.fit(data, cfg)
-        passes, outputs = [], fwf_core._functional_outputs
+        passes, outputs = [], fwf_core._sweep_outputs
 
         def spy(*args):
-            passes.append(len(args[6]))
+            passes.append(len(args[-1]))  # the alphas
             return outputs(*args)
 
-        monkeypatch.setattr(fwf_core, "_functional_outputs", spy)
+        monkeypatch.setattr(fwf_core, "_sweep_outputs", spy)
         monkeypatch.setattr(fwf_core, "_pass_rows", lambda n_train, order_L: rows)
         assert_same_fit(check_curve(data, cfg), one_pass)
         # check_curve searches once directly and once inside its fit
         assert passes == 2 * [min(rows, 50 - lo) for lo in range(0, 50, rows)]
+
+    @pytest.mark.parametrize("alpha", ["auto", 0.3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_train_mse_bitwise_equal_to_predict_batch(self, chunk_series, k, alpha):
+        # the sweep and predict_batch evaluate the functional separately;
+        # scoring the fit's own windows must give its training MSE
+        data = chunk_data(chunk_series, fwf_core._ROW_CHUNK + 3)
+        m = fw.fit(data, fw.FwfConfig(order_L=10, k_neighbors=k, alpha=alpha))
+        mse = fw.evalbench.mse(fw.predict_batch(m, data.windows), data.targets)
+        assert m.train_mse == mse
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17, 130])
