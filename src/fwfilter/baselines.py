@@ -155,10 +155,6 @@ def wiener_predict(m: WienerModel, x) -> float | np.ndarray:
     return float(np.dot(m.weights, x)) if x.ndim == 1 else x @ m.weights
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cdist(a, b, "sqeuclidean")
-
-
 def _kernel_matvec(X, C, coef, inv2s2, out, buf):
     """``out = exp(-|X_r - C_c|^2 * inv2s2) @ coef``, ``_PREDICT_CHUNK`` rows
     of ``X`` at a time, each block computed in place in the flat ``buf``
@@ -221,7 +217,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
             e = min(s + _KLMS_SLAB, lo)
             _kernel_matvec(Xb, X[s:e], alpha[s:e], inv2s2, part[: hi - lo], buf)
             carry += part[: hi - lo]
-        Kb = np.exp(-_sq_dists(Xb, Xb) * inv2s2)
+        Kb = np.exp(-cdist(Xb, Xb, "sqeuclidean") * inv2s2)
         # targets near the double limit can overflow an error; the check
         # below reports it, so numpy's warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -244,7 +240,7 @@ def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     lam = check_nonneg("lam", lam)
     sig = resolve_width(sigma, data.source_x)
     X, z = data.windows, data.targets
-    K = _sq_dists(X, X)
+    K = cdist(X, X, "sqeuclidean")
     # -d / s2 and exp in place, so the Gram is the only N x N array
     np.negative(K, out=K)
     K /= 2.0 * sig * sig

@@ -89,8 +89,8 @@ class ExperimentConfig:
 
     ``generator`` holds dataset-specific parameters (missing fields use the
     generator defaults; the sizes set the sample count); each entry of
-    ``methods`` is a mapping with a ``name`` key plus that method's
-    hyperparameters.
+    ``methods`` is a mapping with a ``name`` key, distinct across entries,
+    plus that method's hyperparameters.
     """
 
     dataset: str
@@ -127,12 +127,15 @@ class ExperimentConfig:
         methods = tuple(dict(m) for m in self.methods)
         if len(methods) == 0:
             raise ParameterError("methods must be non-empty")
-        for m in methods:
-            name = m.get("name")
+        names = [m.get("name") for m in methods]
+        for i, name in enumerate(names):
             if name not in METHODS:
                 raise ParameterError(
                     f"unknown method {name!r}; valid: {', '.join(METHODS)}"
                 )
+            if name in names[:i]:
+                raise ParameterError(f"method {name!r} is listed twice; "
+                                     "method names must be distinct")
         object.__setattr__(self, "train_sizes", sizes)
         object.__setattr__(self, "methods", methods)
 
@@ -306,12 +309,11 @@ def _subset(data: Dataset, n_rows: int) -> Dataset:
 def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     """Validated fit for one method: fit(Dataset) -> model.
 
-    Every model it returns has ``order_L`` and a batch ``predict(X)``.  A
-    baseline fit gets only the keys ``hyper`` sets, and is looked up when it
-    runs, so a module attribute wrapped after this call is still the one called.
+    ``hyper`` holds hyperparameters only; any other key fails.  Every model
+    it returns has ``order_L`` and a batch ``predict(X)``.  A baseline fit
+    gets only the keys ``hyper`` sets, and is looked up when it runs, so a
+    module attribute wrapped after this call is still the one called.
     """
-    hyper = dict(hyper)
-    hyper.pop("name", None)
     if name == "fwf":
         try:
             cfg = fwf_core.FwfConfig(order_L=order_L, horizon=horizon, **hyper)
@@ -328,6 +330,11 @@ def make_fitter(name: str, hyper: dict, order_L: int, horizon: int):
     return lambda d: getattr(baselines, f"{name}_fit")(d, **args)
 
 
+def _hyper(entry: dict) -> dict:
+    """The hyperparameters of a ``methods`` entry: all but its name."""
+    return {k: v for k, v in entry.items() if k != "name"}
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Fit every configured method at every training size, score per fold.
 
@@ -338,7 +345,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     the run continues; any other exception propagates.
     """
     fitters = [
-        (m["name"], make_fitter(m["name"], m, cfg.order_L, cfg.horizon))
+        (m["name"], make_fitter(m["name"], _hyper(m), cfg.order_L, cfg.horizon))
         for m in cfg.methods
     ]
     gap = cfg.order_L + cfg.horizon
@@ -392,7 +399,7 @@ def _check_sweep(method, sizes, repeats, queries, hyper):
 
 def check_timing(timing, cfg: ExperimentConfig):
     """The sweep dict (``method``, ``sizes``, ``repeats``, ``queries``) and
-    hyperparameters (the method's entry in ``cfg.methods``, or none) that
+    hyperparameters (of the method's entry in ``cfg.methods``, or none) that
     :func:`timing_scaling` takes, checked; the ``timing`` block (``None`` if
     absent) overrides the first method, ``cfg.train_sizes`` and the defaults."""
     timing = {} if timing is None else timing
@@ -403,7 +410,7 @@ def check_timing(timing, cfg: ExperimentConfig):
         raise ParameterError(f"unknown timing fields: {sorted(unknown)}")
     sweep = {"method": cfg.methods[0]["name"], "sizes": cfg.train_sizes,
              "repeats": _SWEEP_REPEATS, "queries": _SWEEP_QUERIES, **timing}
-    hyper = next((m for m in cfg.methods if m["name"] == sweep["method"]), {})
+    hyper = _hyper(next((m for m in cfg.methods if m["name"] == sweep["method"]), {}))
     sweep["sizes"], _ = _check_sweep(**sweep, hyper=hyper)
     return sweep, hyper
 

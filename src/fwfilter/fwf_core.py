@@ -120,8 +120,8 @@ class FwfConfig:
 @dataclass
 class FwfModel:
     """Fitted filter state; immutable by convention after :func:`fit`.
-    Construction checks the arrays' shapes and finiteness, the width, alpha
-    and bias, so an edited model file fails at load, not at predict."""
+    Construction checks every field, so an edited model file fails at load,
+    not at predict, and builds the neighbor index when none is given."""
 
     weights: np.ndarray
     partners: np.ndarray
@@ -133,7 +133,7 @@ class FwfModel:
     alpha: float
     ridge: float
     train_mse: float
-    neighbor_index: neighbors.NeighborIndex
+    neighbor_index: neighbors.NeighborIndex | None = None
 
     kind = "fwf"
 
@@ -150,10 +150,15 @@ class FwfModel:
                 )
             if not np.isfinite(a).all():
                 raise ParameterError(f"{name} must be finite")
-        check_width("sigma_input", self.sigma_input)
-        _check_alpha(self.alpha)
-        if not np.isfinite(check_real("bias", self.bias)):
+        self.sigma_input = check_width("sigma_input", self.sigma_input)
+        self.alpha = _check_alpha(self.alpha)
+        self.ridge = check_nonneg("ridge", self.ridge)
+        self.train_mse = check_nonneg("train_mse", self.train_mse)
+        self.bias = check_real("bias", self.bias)
+        if not np.isfinite(self.bias):
             raise ParameterError(f"bias must be finite, got {self.bias!r}")
+        if self.neighbor_index is None:
+            self.neighbor_index = neighbors.build(self.train_windows)
 
     @property
     def n_train(self) -> int:

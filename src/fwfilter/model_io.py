@@ -3,19 +3,19 @@
 All fitted models share one npz envelope: a format version, a ``kind`` tag
 (``fwf``, ``wiener``, or a kernel-adaptive variant), the float64 arrays of
 the model, and a JSON blob for its scalars.  ``_FIELDS`` names each kind's
-fields once; saving and loading both follow it.  Round-trips are bitwise: a
-reloaded model reproduces every prediction of the original.  The neighbor
-index of a reloaded filter is rebuilt from the stored training windows.
+constructor and fields once; saving and loading both follow it.  The model
+classes alone check a file's values: each scalar must be a JSON number in
+range.  Round-trips are bitwise: a reloaded model predicts as the original.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 
-from . import neighbors
 from .baselines import KAF_VARIANTS, KafModel, WienerModel
 from .errors import DataError, FilterError
 from .fwf_core import FwfConfig, FwfModel
@@ -24,12 +24,13 @@ __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 
-# each kind's array members and meta scalars, in file order
+# each kind's constructor, array members and meta scalars, in file order
 _FIELDS = {
-    "fwf": (("weights", "partners", "train_windows", "train_targets"),
+    "fwf": (FwfModel, ("weights", "partners", "train_windows", "train_targets"),
             ("config", "sigma_input", "alpha", "ridge", "bias", "train_mse")),
-    "wiener": (("weights",), ("horizon",)),
-    **dict.fromkeys(KAF_VARIANTS, (("centers", "coefficients"), ("sigma", "horizon"))),
+    "wiener": (WienerModel, ("weights",), ("horizon",)),
+    **{v: (functools.partial(KafModel, variant=v), ("centers", "coefficients"),
+           ("sigma", "horizon")) for v in KAF_VARIANTS},
 }
 
 
@@ -43,8 +44,7 @@ def _from_json(name: str, value):
         value = {**value}  # a TypeError unless the config is an object
         value.pop("sigma_weight", None)  # files from before it was removed
         return FwfConfig(**value)
-    # the models check horizon themselves, so true is not read as 1
-    return value if name == "horizon" else float(value)
+    return value
 
 
 def save_model(model, path) -> None:
@@ -52,14 +52,15 @@ def save_model(model, path) -> None:
     kind = getattr(model, "kind", None)
     if not (isinstance(kind, str) and kind in _FIELDS):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
-    arrays, scalars = _FIELDS[kind]
+    _, arrays, scalars = _FIELDS[kind]
     meta = {k: _to_json(getattr(model, k)) for k in scalars}
     np.savez(path, format_version=FORMAT_VERSION, kind=kind,
              **{k: getattr(model, k) for k in arrays}, meta=json.dumps(meta))
 
 
 def load_model(path):
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`; a baseline file from
+    before the horizon was recorded takes its class's default, 1."""
     try:
         with np.load(path, allow_pickle=False) as f:
             data = {k: f[k] for k in f.files}
@@ -80,16 +81,10 @@ def load_model(path):
         )
     if kind not in _FIELDS:
         raise DataError(f"unknown model kind {kind!r} in {str(path)!r}")
-    arrays, scalars = _FIELDS[kind]
+    model, arrays, scalars = _FIELDS[kind]
     try:
-        meta = {"horizon": 1, **meta}  # baseline files from before it was recorded
         fields = {k: data[k] for k in arrays}
-        fields.update((k, _from_json(k, meta[k])) for k in scalars)
-        if kind == "fwf":
-            index = neighbors.build(fields["train_windows"])
-            return FwfModel(**fields, neighbor_index=index)
-        if kind == "wiener":
-            return WienerModel(**fields)
-        return KafModel(**fields, variant=kind)
+        fields.update((k, _from_json(k, meta[k])) for k in scalars if k in meta)
+        return model(**fields)
     except (FilterError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {str(path)!r}: {exc}") from exc

@@ -10,11 +10,15 @@ Every key also draws a 401-digit integer, past the double range and every
 array size, except ``timing.repeats``: a huge repeat count is a valid sweep
 that never ends, not an error.
 
+A ``predict`` run on a model file with one meta scalar replaced by an
+arbitrary JSON value ends in exit 0 or 3, under the same stderr rules.
+
 Fixed cases cover the argument list and the files: a usage error (a removed
-flag or command, a missing command or option) ends in exit 2, and an
-unreadable or non-UTF-8 config or series file, a missing file whose name
-holds a newline, or an edited model file, in exit 3; each prints exactly
-one ``error:`` line and writes no file.
+flag or command, a missing command or option) or a config the command
+rejects (a repeated bench method, a ``name`` key in a fit) ends in exit 2,
+and an unreadable or non-UTF-8 config or series file, a missing file whose
+name holds a newline, or an edited model file, in exit 3; each prints
+exactly one ``error:`` line and writes no file.
 """
 
 import contextlib
@@ -311,6 +315,17 @@ MODEL_EDITS = {
     "bool-wiener-horizon": ("wiener", "horizon", True),
     "bool-klms-horizon": ("klms", "horizon", True),
     "bool-krls-horizon": ("krls", "horizon", True),
+    "bool-bias": ("fwf", "bias", True),
+    "bool-width": ("fwf", "sigma_input", True),
+    "bool-alpha": ("fwf", "alpha", True),
+    "bool-ridge": ("fwf", "ridge", True),
+    "bool-train-mse": ("fwf", "train_mse", True),
+    "negative-ridge": ("fwf", "ridge", -1),
+    "string-ridge": ("fwf", "ridge", "x"),
+    "string-train-mse": ("fwf", "train_mse", "x"),
+    "bool-klms-sigma": ("klms", "sigma", True),
+    "string-klms-sigma": ("klms", "sigma", "0.5"),
+    "bool-krls-sigma": ("krls", "sigma", True),
 }
 
 
@@ -339,3 +354,46 @@ def test_malformed_model_file(files, tmp_path, case):
     model = edited_model(files, tmp_path, *MODEL_EDITS[case])
     check_fault(tmp_path, 3, "malformed model file", "predict", "--model", model,
                 "--series", files[0], "--out", tmp_path / "p.csv")
+
+
+# the meta scalars a drawn value replaces; a horizon past the series length
+# is reported as a too-short series (exit 2), so horizons have fixed cases only
+META_SCALARS = [("fwf", k) for k in
+                ("config", "sigma_input", "alpha", "ridge", "bias", "train_mse")]
+META_SCALARS += [("klms", "sigma"), ("krls", "sigma")]
+
+
+@SETTINGS
+@given(st.sampled_from(META_SCALARS), VALUES)
+def test_model_meta_contract(files, scalar, value):
+    with tempfile.TemporaryDirectory() as d:
+        model = edited_model(files, Path(d), *scalar, value)
+        code, err = run("predict", "--model", model, "--series", files[0],
+                        "--out", Path(d) / "p.csv")
+    assert code in (0, 3), (scalar, value, code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (scalar, value, err)
+
+
+# configs each command rejects with exit 2, and a phrase the line must hold
+CONFIG_FAULTS = {
+    "repeated-bench-method": (
+        "bench",
+        {"dataset": "fir", "train_sizes": [60, 120], "folds": 2, "test_size": 20,
+         "methods": [{"name": "fwf"}, {"name": "fwf", "alpha": 0.4, "k_neighbors": 3}]},
+        "method 'fwf' is listed twice",
+    ),
+    "name-key-wiener-fit": ("fit", {"method": "wiener", "order_L": 5, "name": "klms"},
+                            "unknown wiener parameters: ['name']"),
+    "name-key-fwf-fit": ("fit", {"method": "fwf", "order_L": 5, "name": "fwf"},
+                         "'name'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+def test_config_fault(files, tmp_path, case):
+    command, cfg, named = CONFIG_FAULTS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    series = ["--series", files[0]] if command == "fit" else []
+    check_fault(tmp_path, 2, named, command, "--config", path, *series,
+                "--out", tmp_path / "out")

@@ -50,6 +50,7 @@ class TestExperimentConfig:
             {"train_sizes": 5},
             {"methods": [1]},
             {"methods": "fwf"},
+            {"methods": ({"name": "fwf"}, {"name": "fwf", "alpha": 0.4})},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -473,10 +474,10 @@ class TestTimingScaling:
             "queries": defaults["queries"].default,
         }
         assert (sweep["repeats"], sweep["queries"]) == (5, 1000)
-        assert hyper == {"name": "klms", "eta": 0.3}
+        assert hyper == {"eta": 0.3}
         sweep, hyper = eb.check_timing({"method": "wiener", "queries": 7}, cfg)
         assert (sweep["method"], sweep["queries"]) == ("wiener", 7)
-        assert hyper == {"name": "wiener"}
+        assert hyper == {}
 
     def test_validation(self):
         with pytest.raises(ParameterError):
