@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import evalbench, model_io
-from .errors import DataError, FilterError, ParameterError, check_int
+from .errors import DataError, DimensionError, FilterError, ParameterError, check_int
 from .signal_gen import embed, embed_pair, read_series_csv, standardize, write_series_csv
 
 __all__ = ["main"]
@@ -60,9 +60,10 @@ def _echo_config(cfg: dict, out_path) -> None:
         f.write("\n")
 
 
-def _embed_from(args, cfg: dict, L: int, horizon: int):
+def _embed_from(args, cfg: dict, L: int, horizon: int, source: str = "config"):
     """The (window, target) pairs of ``--series`` (and ``--desired``),
-    standardized unless the config's ``standardize`` is false."""
+    standardized unless the config's ``standardize`` is false.  A series too
+    short for L and the horizon exits 2 if they come from the config, else 3."""
     scaled = cfg.get("standardize", True)
     if not isinstance(scaled, bool):
         raise ParameterError(f"standardize must be true or false, got {scaled!r}")
@@ -72,6 +73,10 @@ def _embed_from(args, cfg: dict, L: int, horizon: int):
         s = standardize(s)
         if desired is not None:
             desired = standardize(desired)
+    if len(s) < L + horizon:
+        error = DimensionError if source == "config" else DataError
+        raise error(f"series of length {len(s)} too short for the {source}'s "
+                    f"L={L}, horizon={horizon}")
     if desired is not None:
         return embed_pair(s, desired, L, horizon)
     return embed(s, L, horizon)
@@ -147,7 +152,7 @@ def cmd_predict(args) -> int:
             "order, horizon and number of neighbors"
         )
     model = model_io.load_model(args.model)
-    data = _embed_from(args, cfg, model.order_L, model.horizon)
+    data = _embed_from(args, cfg, model.order_L, model.horizon, "model file")
     pred = model.predict(data.windows)
     err = evalbench.squared_errors(pred, data.targets)
     with open(args.out, "w") as f:

@@ -471,6 +471,13 @@ def predict_batch(m: FwfModel, X, K: int | None = None) -> np.ndarray:
 
 
 def predict(m: FwfModel, x, K: int | None = None) -> float:
-    """Predict a single window (see :func:`predict_batch`)."""
+    """Predict a single window: :func:`predict_batch`'s steps on one K x L
+    gather, without its chunk loop, so the result is its row bitwise."""
+    x = np.asarray(x, dtype=float)
+    if K is None:
+        K = min(m.config.k_neighbors, m.n_train)
     # a window of the wrong length or rank fails the neighbor query's checks
-    return float(predict_batch(m, np.asarray(x, dtype=float)[None], K)[0])
+    nbr, _ = neighbors.query(m.neighbor_index, x, K)
+    d = m.partners.take(nbr, axis=0)
+    _kernel_terms(d, x, m.weights, -2.0 * m.sigma_input * m.sigma_input)
+    return float(d.sum(axis=1).sum() / K - m.bias)

@@ -11,11 +11,14 @@ A batch reaches the tree sorted by its first coordinate, and the probed
 indices and their distances go back to the caller's rows.  Queries in
 random order start each walk from cold cache lines; in sorted order
 neighboring queries walk mostly the same nodes back to back.  The tree
-answers every query on its own, so the order changes no result.
+answers every query on its own, so the order changes no result.  A single
+window takes 1-d steps instead: no sort, and its K+1 probed distances are
+ordered only when they are not already strictly increasing.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -118,21 +121,30 @@ def query_batch(idx: NeighborIndex, queries, K: int):
     B, k_probe = len(queries), min(K + 1, N)
     workers = worker_count()
     if B == 1:
-        ii = idx.tree.query(queries, k=k_probe, workers=workers)[1].reshape(1, -1)
-        dist = _ref_distances(idx.points[ii], queries[:, None, :])
-    else:
-        # the tree takes the batch in order of its first coordinate,
-        # _PROBE_ROWS rows at a time, and each slice's indices and reference
-        # distances go back to the caller's rows; the slices keep the sorted
-        # copy and the gathered points small
-        rows = np.argsort(queries[:, 0], kind="stable")
-        ii = np.empty((B, k_probe), dtype=np.intp)
-        dist = np.empty((B, k_probe))
-        for lo in range(0, B, _PROBE_ROWS):
-            r = rows[lo : lo + _PROBE_ROWS]
-            q = queries[r]
-            ii[r] = idx.tree.query(q, k=k_probe, workers=workers)[1].reshape(len(r), -1)
-            dist[r] = _ref_distances(idx.points[ii[r]], q[:, None, :])
+        # the tree returns scalars when k_probe is 1
+        q = queries[0]
+        ii = np.atleast_1d(idx.tree.query(q, k=k_probe, workers=workers)[1])
+        dist = _ref_distances(idx.points.take(ii, axis=0), q)
+        d = dist.tolist()
+        if not all(map(operator.lt, d, d[1:])):
+            order = np.lexsort((ii, dist))
+            ii, dist = ii.take(order), dist.take(order)
+        if k_probe > K and dist[K] <= dist[K - 1] * (1.0 + _TIE_RTOL):
+            return tuple(a[None] for a in _resolve_ties(idx, q, K, dist[K - 1]))
+        return ii[None, :K], dist[None, :K]
+
+    # the tree takes the batch in order of its first coordinate,
+    # _PROBE_ROWS rows at a time, and each slice's indices and reference
+    # distances go back to the caller's rows; the slices keep the sorted
+    # copy and the gathered points small
+    rows = np.argsort(queries[:, 0], kind="stable")
+    ii = np.empty((B, k_probe), dtype=np.intp)
+    dist = np.empty((B, k_probe))
+    for lo in range(0, B, _PROBE_ROWS):
+        r = rows[lo : lo + _PROBE_ROWS]
+        q = queries[r]
+        ii[r] = idx.tree.query(q, k=k_probe, workers=workers)[1].reshape(len(r), -1)
+        dist[r] = _ref_distances(idx.points[ii[r]], q[:, None, :])
 
     # lexicographic (distance, index) order, so tied groups are
     # index-ascending; offsetting each row's order by its start in the flat

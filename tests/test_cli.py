@@ -602,7 +602,11 @@ class TestPredict:
             capsys, "predict", "--model", str(model_path), "--series", str(short),
             "--out", str(tmp_path / "p.csv"),
         )
-        assert code == 2
+        # the model file, not the config, sets L and the horizon: a data fault
+        assert code == 3
+        assert stderr == ("error: series of length 5 too short for the model "
+                          "file's L=10, horizon=1\n")
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("method", ["wiener", "klms", "krls"])
     def test_k_neighbors_rejected_for_baselines(

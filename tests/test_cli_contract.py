@@ -10,15 +10,17 @@ Every key also draws a 401-digit integer, past the double range and every
 array size, except ``timing.repeats``: a huge repeat count is a valid sweep
 that never ends, not an error.
 
-A ``predict`` run on a model file with one meta scalar replaced by an
-arbitrary JSON value ends in exit 0 or 3, under the same stderr rules.
+A ``predict`` run on a model file with one meta scalar, horizons included,
+replaced by an arbitrary JSON value ends in exit 0 or 3, under the same
+stderr rules.
 
 Fixed cases cover the argument list and the files: a usage error (a removed
 flag or command, a missing command or option) or a config the command
-rejects (a repeated bench method, a ``name`` key in a fit) ends in exit 2,
-and an unreadable or non-UTF-8 config or series file, a missing file whose
-name holds a newline, or an edited model file, in exit 3; each prints
-exactly one ``error:`` line and writes no file.
+rejects (a repeated bench method, a ``name`` key in a fit, a fit horizon
+past the series length) ends in exit 2, and an unreadable or non-UTF-8
+config or series file, a missing file whose name holds a newline, an
+edited model file, or a model horizon past the series length, in exit 3;
+each prints exactly one ``error:`` line and writes no file.
 """
 
 import contextlib
@@ -356,11 +358,23 @@ def test_malformed_model_file(files, tmp_path, case):
                 "--series", files[0], "--out", tmp_path / "p.csv")
 
 
-# the meta scalars a drawn value replaces; a horizon past the series length
-# is reported as a too-short series (exit 2), so horizons have fixed cases only
+# a model file's horizon past what the 300-sample series allows: the series
+# is too short for the model, a data fault (exit 3)
+@pytest.mark.parametrize("kind, key", [("wiener", "horizon"), ("fwf", "config.horizon"),
+                                       ("klms", "horizon"), ("krls", "horizon")])
+def test_model_horizon_past_the_series(files, tmp_path, kind, key):
+    model = edited_model(files, tmp_path, kind, key, 400)
+    check_fault(tmp_path, 3, "series of length 300 too short for the model file's "
+                "L=5, horizon=400", "predict", "--model", model,
+                "--series", files[0], "--out", tmp_path / "p.csv")
+
+
+# the meta scalars a drawn value replaces, horizons included
 META_SCALARS = [("fwf", k) for k in
-                ("config", "sigma_input", "alpha", "ridge", "bias", "train_mse")]
+                ("config", "config.horizon", "sigma_input", "alpha", "ridge", "bias",
+                 "train_mse")]
 META_SCALARS += [("klms", "sigma"), ("krls", "sigma")]
+META_SCALARS += [(kind, "horizon") for kind in ("wiener", "klms", "krls")]
 
 
 @SETTINGS
@@ -386,6 +400,10 @@ CONFIG_FAULTS = {
                             "unknown wiener parameters: ['name']"),
     "name-key-fwf-fit": ("fit", {"method": "fwf", "order_L": 5, "name": "fwf"},
                          "'name'"),
+    # the config sets the horizon, so a series too short for it is its fault
+    "long-horizon-fit": ("fit", {"method": "wiener", "order_L": 5, "horizon": 400},
+                         "series of length 300 too short for the config's "
+                         "L=5, horizon=400"),
 }
 
 

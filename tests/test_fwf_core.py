@@ -483,6 +483,131 @@ class TestPredict:
         )
 
 
+def _lattice_model(rng, k_neighbors=2):
+    """An order-3 model over every point of the 3 x 3 x 3 lattice three
+    times over (exact ties at every radius) and a cloud of distinct points
+    far from it; each window has its own partner, so a tie broken the wrong
+    way changes the prediction."""
+    grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 3)
+    X = np.vstack([grid, grid, grid, 10.0 + rng.standard_normal((20, 3))])
+    return fwf_core.FwfModel(
+        weights=rng.standard_normal(3), partners=X + 0.3 * rng.standard_normal(X.shape),
+        train_windows=X, train_targets=rng.standard_normal(len(X)), bias=0.1,
+        config=fw.FwfConfig(order_L=3, k_neighbors=k_neighbors), sigma_input=0.8,
+        alpha=0.3, ridge=0.0, train_mse=0.0,
+    )
+
+
+def _lattice_queries(m, rng):
+    grid, cloud = m.train_windows[:27], m.train_windows[81:]
+    return np.vstack([grid, grid + 0.5, grid + [0.5, 0.0, 0.0], cloud,
+                      cloud + 0.01 * rng.standard_normal(cloud.shape)])
+
+
+class TreeSpy:
+    """Stands in for an index's kd-tree and counts its ``query`` calls."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.queries = 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
+class TestPredictOneRow:
+    """``predict`` evaluates one window without the batch's chunk loop; it
+    must equal its ``predict_batch`` row bitwise, whatever the layout."""
+
+    @pytest.fixture(params=[None, "0", "2"], ids=["threads_unset", "0", "2"])
+    def threads(self, request, monkeypatch):
+        if request.param is None:
+            monkeypatch.delenv("FWF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FWF_THREADS", request.param)
+
+    @staticmethod
+    def assert_rows(m, X, K=None):
+        batch = fw.predict_batch(m, X, K)
+        rows = np.array([fw.predict(m, x, K) for x in X])
+        assert rows.tobytes() == batch.tobytes()
+
+    def test_model_of_one_window(self, threads):
+        # k_probe = K = 1: the tree returns a scalar index and distance
+        data = fw.embed(fw.Series(np.sin(np.arange(11.0))), 10, 1)
+        m = fw.fit(data, fw.FwfConfig(order_L=10, sigma_input=1.0, alpha=0.3))
+        assert m.n_train == 1
+        X = np.vstack([data.windows, data.windows + 0.5, np.zeros((1, 10))])
+        self.assert_rows(m, X)
+        self.assert_rows(m, X, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_k_equal_to_n(self, threads, n, rng):
+        # no over-query, so no boundary test
+        data = fw.embed(fw.Series(np.sin(0.7 * np.arange(n + 10.0))), 10, 1)
+        m = fw.fit(data, fw.FwfConfig(order_L=10, sigma_input=1.0, alpha=0.3,
+                                      k_neighbors=n))
+        X = np.vstack([data.windows, data.windows + 0.5, rng.standard_normal((5, 10))])
+        self.assert_rows(m, X)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_duplicates_and_lattice_ties(self, threads, K, rng):
+        m = _lattice_model(rng, K)
+        X = _lattice_queries(m, rng)
+        self.assert_rows(m, X)
+        for x in X:
+            # the neighbors are the linear scan's, ties by ascending index
+            nn, _ = neighbors.linear_scan_query(m.train_windows, x, K)
+            ref = [oracles.evaluate_functional(m.weights, m.partners[j], x,
+                                               m.sigma_input) for j in nn]
+            assert np.isclose(fw.predict(m, x), np.mean(ref) - m.bias,
+                              rtol=1e-12, atol=1e-12)
+
+    def test_many_neighbors(self, small_model, rng):
+        # K past 8 and 128 changes numpy's summation order over the K terms
+        X = rng.standard_normal((10, 10)) * 0.5
+        for K in (8, 9, 129, 300):
+            self.assert_rows(small_model, X, K)
+
+    def test_bad_windows_raise_as_before(self, small_model):
+        for bad in (np.nan, np.inf):
+            x = np.zeros(10)
+            x[3] = bad
+            with pytest.raises(DataError, match="^query windows must be finite$"):
+                fw.predict(small_model, x)
+        shape = "^query windows must be B x L matching the index$"
+        for x in (np.zeros(9), np.zeros(11), np.zeros((2, 10)), np.zeros((1, 10))):
+            with pytest.raises(DimensionError, match=shape):
+                fw.predict(small_model, x)
+
+    def test_one_tree_query_and_ties_only_when_tied(self, rng, monkeypatch):
+        m = _lattice_model(rng)
+        spy = TreeSpy(m.neighbor_index.tree)
+        monkeypatch.setattr(m.neighbor_index, "tree", spy)
+        resolved = []
+        resolve = neighbors._resolve_ties
+
+        def recording(*args):
+            resolved.append(args[1])
+            return resolve(*args)
+
+        monkeypatch.setattr(neighbors, "_resolve_ties", recording)
+        tied, clean = m.train_windows[13], m.train_windows[81] + 0.01
+        for x, ties in ((tied, 1), (clean, 0)):
+            # tied at the K-th radius: the (K+1)-th distance equals the K-th
+            d = neighbors.linear_scan_query(m.train_windows, x, 3)[1]
+            assert (d[2] == d[1]) == bool(ties)
+            spy.queries, resolved[:] = 0, []
+            fw.predict(m, x)
+            assert spy.queries == 1
+            assert len(resolved) == ties
+
+
 @pytest.fixture(scope="module")
 def chunk_series():
     """Standardized Mackey-Glass series long enough for two row chunks."""
@@ -815,6 +940,8 @@ class TestThreadCount:
             out = [
                 np.array([m.alpha, m.train_mse, m.bias]), m.partners,
                 fw.predict_batch(m, held_out), fw.predict_batch(m, held_out, 5),
+                np.array([fw.predict(m, x, K) for x in held_out[:50]
+                          for K in (1, 2, 3)]),
                 *neighbors.query_batch(idx, held_out, 3),
                 *neighbors.query_batch(idx, held_out[:1], 3),
                 *neighbors.query_batch(idx, train.windows, 2),

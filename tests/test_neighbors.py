@@ -212,6 +212,61 @@ class TestBatchExactness:
                 neighbors.query_batch(idx, q, 1)
 
 
+def _assert_query_is_linear_scan(idx, pts, q, K):
+    got = neighbors.query(idx, q, K)
+    want = neighbors.linear_scan_query(pts, q, K)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape == (K,)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestOneRow:
+    """A single window takes query_batch's one-row branch: a 1-d tree query,
+    the (distance, index) order only for out-of-order distances, and a
+    scalar boundary test; each result must be the linear scan's, bitwise."""
+
+    def test_index_of_one_window(self, rng):
+        # k_probe = K = 1: the tree returns a scalar index and distance
+        pts = rng.standard_normal((1, 4))
+        idx = neighbors.build(pts)
+        for q in (pts[0], pts[0] + 0.5, rng.standard_normal(4), np.zeros(4)):
+            _assert_query_is_linear_scan(idx, pts, q, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 27, 54])
+    def test_k_equal_to_n(self, n, rng):
+        # no over-query, so no boundary test
+        pts = np.vstack([_lattice(), _lattice()])[:n]
+        idx = neighbors.build(pts)
+        for q in np.vstack([pts, pts + 0.5, rng.standard_normal((5, 3))]):
+            _assert_query_is_linear_scan(idx, pts, q, n)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_duplicates_and_lattice_ties(self, K, rng):
+        grid = _lattice()
+        cloud = 10.0 + rng.standard_normal((20, 3))
+        pts = np.vstack([grid, grid, grid, cloud])
+        idx = neighbors.build(pts)
+        queries = np.vstack(
+            [grid, grid + 0.5, grid + [0.5, 0.0, 0.0], cloud,
+             cloud + 0.01 * rng.standard_normal((20, 3))]
+        )
+        for q in queries:
+            _assert_query_is_linear_scan(idx, pts, q, K)
+
+    def test_bad_windows_raise_as_before(self, rng):
+        idx = neighbors.build(rng.standard_normal((10, 3)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="^query windows must be finite$"):
+                neighbors.query(idx, np.array([0.0, bad, 1.0]), 2)
+        shape = "^query windows must be B x L matching the index$"
+        windows = (np.zeros(2), np.zeros(4), np.zeros((2, 3)), np.zeros((1, 3)), 0.0)
+        for window in windows:
+            with pytest.raises(DimensionError, match=shape):
+                neighbors.query(idx, window, 2)
+        with pytest.raises(ParameterError, match=r"^K must be in 1\.\.10, got 11$"):
+            neighbors.query(idx, np.zeros(3), 11)
+
+
 def _assert_rows_bitwise_equal(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
