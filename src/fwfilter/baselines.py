@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, DimensionError, ParameterError, check_int, check_nonneg
-from .fwf_core import solve_weights
+from .fwf_core import _solve_in_place, solve_weights
 from .kernel_stats import (
     autocovariance,
     check_width,
@@ -208,6 +208,7 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
     inv2s2 = 1.0 / (2.0 * sig * sig)
     buf = np.empty((_PREDICT_CHUNK + 1) * min(_KLMS_SLAB, N))
     part = np.empty(min(_KLMS_BLOCK, N))
+    kbuf = np.empty(min(_KLMS_BLOCK, N) ** 2)
     for lo in range(0, N, _KLMS_BLOCK):
         hi = min(lo + _KLMS_BLOCK, N)
         Xb = X[lo:hi]
@@ -217,7 +218,12 @@ def klms_fit(data: Dataset, eta: float = 0.5, sigma=None) -> KafModel:
             e = min(s + _KLMS_SLAB, lo)
             _kernel_matvec(Xb, X[s:e], alpha[s:e], inv2s2, part[: hi - lo], buf)
             carry += part[: hi - lo]
-        Kb = np.exp(-cdist(Xb, Xb, "sqeuclidean") * inv2s2)
+        # exp(-d * inv2s2) in one buffer reused across blocks
+        Kb = kbuf[: (hi - lo) ** 2].reshape(hi - lo, hi - lo)
+        cdist(Xb, Xb, "sqeuclidean", out=Kb)
+        np.negative(Kb, out=Kb)
+        Kb *= inv2s2
+        np.exp(Kb, out=Kb)
         # targets near the double limit can overflow an error; the check
         # below reports it, so numpy's warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -235,7 +241,10 @@ def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     """Batch solution of the regularized Gram system (K + lambda I) a = z.
 
     The exact recursive update converges to the same coefficients, so the
-    batch solve is the contract.
+    batch solve is the contract.  The Gram is the only N x N array: it is
+    built in place and factored in place (``fwf_core._solve_in_place``),
+    whose residual check reads the Gram's upper triangle, which the
+    factorization leaves alone.
     """
     lam = check_nonneg("lam", lam)
     sig = resolve_width(sigma, data.source_x)
@@ -245,7 +254,9 @@ def krls_fit(data: Dataset, lam: float = 1e-6, sigma=None) -> KafModel:
     np.negative(K, out=K)
     K /= 2.0 * sig * sig
     np.exp(K, out=K)
-    alpha = solve_weights(K, z, lam)
+    # cdist's output is C-ordered and bitwise symmetric, so its transpose
+    # is the same matrix in Fortran order, with no copy
+    alpha = _solve_in_place(K.T, np.asarray(z, dtype=float), lam)
     return KafModel(X, alpha, sig, "krls", data.horizon)
 
 

@@ -63,12 +63,19 @@ def _echo_config(cfg: dict, out_path) -> None:
 def _embed_from(args, cfg: dict, L: int, horizon: int, source: str = "config"):
     """The (window, target) pairs of ``--series`` (and ``--desired``),
     standardized unless the config's ``standardize`` is false.  A series too
-    short for L and the horizon exits 2 if they come from the config, else 3."""
+    short for L and the horizon exits 2 if they come from the config, else 3;
+    files of unequal lengths, or of one sample to standardize, exit 3."""
     scaled = cfg.get("standardize", True)
     if not isinstance(scaled, bool):
         raise ParameterError(f"standardize must be true or false, got {scaled!r}")
     s = read_series_csv(args.series)
     desired = read_series_csv(args.desired) if args.desired else None
+    files = " and ".join(repr(str(p)) for p in (args.series, args.desired) if p)
+    if desired is not None and len(desired) != len(s):
+        raise DataError(f"series files {files} must have equal length, "
+                        f"got {len(s)} and {len(desired)} samples")
+    if scaled and len(s) < 2:
+        raise DataError(f"cannot standardize {files}: 1 sample, at least 2 needed")
     if scaled:
         s = standardize(s)
         if desired is not None:

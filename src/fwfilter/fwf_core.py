@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import blas, cho_solve, lapack
 
 from . import neighbors
 from .errors import ConditioningError, DataError, DimensionError, ParameterError
@@ -180,32 +180,51 @@ class FwfModel:
 def solve_weights(V, Pv, ridge: float) -> np.ndarray:
     """Solve (V + ridge I) W = Pv by Cholesky factorization.
 
-    Never forms an inverse; failure to factor raises a conditioning error
-    reporting the offending pivot.
+    Never forms an inverse and never writes to ``V``: the solve runs on a
+    Fortran-ordered copy (see :func:`_solve_in_place`).  Failure to factor
+    raises a conditioning error reporting the offending pivot, and so does
+    a relative residual ``|(V + ridge I) W - Pv|`` above ``RESIDUAL_TOL``.
     """
     A = np.asarray(V, dtype=float)
     b = np.asarray(Pv, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise DimensionError("system dimensions do not match")
-    # V + ridge I as one Fortran-ordered copy that dpotrf factors in place;
-    # adding 0.0 off the diagonal turns -0.0 into +0.0, as ridge * eye does
-    A_r = np.add(A, 0.0, order="F")
-    np.fill_diagonal(A_r, A.diagonal() + ridge)
-    np.asarray_chkfinite(A_r)
+    # adding 0.0 turns -0.0 into +0.0, as ridge * eye does
+    return _solve_in_place(np.add(A, 0.0, order="F"), b, ridge)
+
+
+def _solve_in_place(A, b, ridge: float) -> np.ndarray:
+    """Solve (A + ridge I) w = b for a symmetric, Fortran-ordered ``A``
+    that the solve may overwrite, with no N x N temporary.
+
+    ``dpotrf`` factors the lower triangle of ``A`` in place.  The strict
+    upper triangle is left as it was, and the diagonal is restored to
+    ``A``'s plus the ridge, so the residual is one ``dsymv`` over the upper
+    triangle.  On return ``A`` holds the factor below its diagonal.
+    """
+    if not A.size:  # dsymv rejects empty vectors
+        return b.copy()
+    diag = A.diagonal() + ridge
+    np.fill_diagonal(A, diag)
+    # min and max are NaN if any entry is; no N x N bool temporary
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+        raise ValueError("array must not contain infs or NaNs")
     # info > 0 is the 1-based index of the first non-positive pivot
-    c, info = lapack.dpotrf(A_r, lower=1, clean=0, overwrite_a=1)
+    c, info = lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise ConditioningError(
             f"regularized system not positive definite (pivot {info}); "
             f"increase the ridge (current {ridge:g})",
             pivot=info,
         )
-    # A_r is checked above; a non-finite factor fails the residual check
+    # A is checked above; a non-finite factor fails the residual check
     w = cho_solve((c, True), np.asarray_chkfinite(b), check_finite=False)
+    np.fill_diagonal(A, diag)
+    r = blas.dsymv(1.0, A, w, beta=-1.0, y=b, lower=0)
     # targets near the double limit overflow the norms; both checks below
     # report it, so numpy's warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.linalg.norm(A @ w + ridge * w - b)
+        resid = np.linalg.norm(r)
         b_norm = np.linalg.norm(b)
     if b_norm == np.inf:
         raise DataError("the right-hand side's norm is not finite; "

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import fwfilter as fw
 import oracles
-from fwfilter import baselines
+from fwfilter import baselines, evalbench
 from fwfilter.errors import ConditioningError, DataError, DimensionError, ParameterError
 
 
@@ -296,6 +299,74 @@ class TestKrls:
     def test_krr_is_same_estimator(self):
         # a binding kept for callers of the old name; no config names krr
         assert fw.krr_fit is fw.krls_fit
+
+    def test_residual_over_tolerance_raises(self):
+        # 301 closely spaced 2-d windows: dpotrf factors the regularized
+        # Gram, but the residual of the in-place solve is far over tolerance
+        data = fw.embed(fw.Series(np.linspace(0.0, 1.0, 302)), 2, 0)
+        K = np.exp(-cdist(data.windows, data.windows, "sqeuclidean") / 2.0)
+        assert oracles.solve_weights(K, data.targets, 1e-12)[1] == 0
+        with pytest.raises(ConditioningError, match=r"^weight solve residual \S+ "
+                           "exceeds tolerance; the system is too ill-conditioned$"):
+            fw.krls_fit(data, lam=1e-12, sigma=1.0)
+
+
+@pytest.fixture(scope="module")
+def mg60():
+    """The criterion-2 series: Mackey-Glass sampled every 60 steps."""
+    return fw.standardize(
+        evalbench.make_series("mackey_glass", {"downsample": 60}, 0, 2010))
+
+
+def mg60_data(series, n):
+    """``n`` windows of length 10 at horizon 1."""
+    return fw.embed(fw.Series(series.values[: n + 10]), 10, 1)
+
+
+def traced_peak(fit):
+    """Peak bytes numpy allocates while ``fit`` runs."""
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramInPlace:
+    """KRLS factors its Gram in place, read as a Fortran-ordered matrix
+    through its transpose; KLMS builds each block Gram in one buffer."""
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_krls_bitwise_equal_to_explicit_gram_solve(self, mg60, n):
+        # 2000 is past OpenBLAS's blocking of dpotrf
+        data = mg60_data(mg60, n)
+        K = np.exp(-cdist(data.windows, data.windows, "sqeuclidean") / 2.0)
+        ref, info = oracles.solve_weights(K, data.targets, 1e-6)
+        assert info == 0
+        m = fw.krls_fit(data, lam=1e-6, sigma=1.0)
+        assert m.coefficients.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_squared_distances_are_bitwise_symmetric(self, mg60, n):
+        # krls_fit hands the Gram's transpose to the solve as the same matrix
+        X = mg60_data(mg60, n).windows
+        D = cdist(X, X, "sqeuclidean")
+        assert D.flags.c_contiguous
+        assert D.tobytes() == D.T.tobytes()
+
+    def test_krls_holds_one_gram(self, mg60):
+        # a second N x N copy would put the peak over 2 x 8 N^2
+        n = 2000
+        data = mg60_data(mg60, n)
+        assert traced_peak(lambda: fw.krls_fit(data, lam=1e-6, sigma=1.0)) \
+            <= 1.15 * 8 * n * n
+
+    def test_klms_holds_one_block_gram(self, mg60):
+        data = mg60_data(mg60, 2000)
+        B = baselines._KLMS_BLOCK
+        assert traced_peak(lambda: fw.klms_fit(data, eta=0.5, sigma=1.0)) \
+            <= 1.15 * 8 * B * B
 
 
 class TestKafPredict:

@@ -286,6 +286,27 @@ def test_file_fault(fault_dir, case):
     check_fault(root, 3, bad, *(a.format(**paths) for a in FILE_FAULTS[case]))
 
 
+# data faults the config cannot cause, in fit and predict: a 1-sample series
+# has nothing to standardize, and a desired series of another length has no
+# pairing (exit 3, naming the file or files)
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("fault", ["one-sample", "unequal-desired"])
+def test_series_data_fault(fault_dir, command, fault):
+    root, paths = fault_dir
+    bad = root / "bad.csv"
+    if fault == "one-sample":
+        fw.write_series_csv(fw.Series(np.array([1.5])), bad)
+        data, named = ["--series", bad], f"cannot standardize {str(bad)!r}: 1 sample"
+    else:
+        fw.write_series_csv(fw.gen_mackey_glass(fw.MGParams(), 200), bad)
+        data = ["--series", paths["series"], "--desired", bad]
+        named = (f"series files {str(paths['series'])!r} and {str(bad)!r} must "
+                 "have equal length, got 300 and 200 samples")
+    source = (["--config", paths["fit"]] if command == "fit"
+              else ["--model", paths["model"]])
+    check_fault(root, 3, named, command, *source, *data, "--out", paths["out"])
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

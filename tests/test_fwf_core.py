@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import hilbert
 from scipy.spatial.distance import cdist
 
 import fwfilter as fw
@@ -207,6 +208,38 @@ class TestSolveWeights:
     def test_right_hand_side_norm_overflow_raises(self):
         with pytest.raises(DataError, match="right-hand side"):
             fw.solve_weights(np.eye(2), np.array([1e308, 1e308]), 0.0)
+
+    def test_residual_over_tolerance_raises(self):
+        # dpotrf factors the order-12 Hilbert matrix (condition about 2e16),
+        # but the solve's residual is far over RESIDUAL_TOL
+        H, b = hilbert(12), np.ones(12)
+        assert oracles.solve_weights(H, b, 0.0)[1] == 0
+        with pytest.raises(ConditioningError, match=r"^weight solve residual \S+ "
+                           "exceeds tolerance; the system is too ill-conditioned$") as exc:
+            fw.solve_weights(H, b, 0.0)
+        assert exc.value.pivot is None
+        assert exc.value.exit_code == 3
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ["solves", "indefinite", "non-finite",
+                                      "residual", "rhs-overflow"])
+    def test_never_writes_to_its_inputs(self, case, order):
+        # the solve factors a copy in place, so V must not be that buffer,
+        # whether it returns or raises
+        V, b = {
+            "solves": ([[2.0, -0.0], [-0.0, 2.0]], [1.0, 1.0]),
+            "indefinite": ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]),
+            "non-finite": ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            "residual": (hilbert(12), np.ones(12)),
+            "rhs-overflow": (np.eye(2), [1e308, 1e308]),
+        }[case]
+        V, b = np.array(V, order=order), np.array(b)
+        V_bytes, b_bytes = V.tobytes(order="A"), b.tobytes()
+        try:
+            fw.solve_weights(V, b, 0.0)
+        except (ConditioningError, DataError, ValueError):
+            assert case != "solves"
+        assert V.tobytes(order="A") == V_bytes and b.tobytes() == b_bytes
 
 
 class TestEvaluateFunctional:
