@@ -5,9 +5,11 @@ series, ``fit`` trains a model on a series CSV (an fwf fit picks alpha over
 a grid), ``predict`` scores a model against a series at the task the model
 file records, and ``bench`` runs the cross-validated comparison plus timing
 sweep.  Configuration is a single JSON document per command; every command
-validates fully before writing anything, echoes the effective configuration
-next to its output, and maps errors, usage errors included, to one stderr
-line and exit code 2 (configuration or usage) or 3 (runtime/data).
+validates fully before writing anything.  ``generate``, ``fit`` and
+``predict`` write exactly ``--out`` and echo the effective configuration to
+``<out-stem>.config.json``; ``bench`` writes into the directory ``--out``,
+echo included, as ``config.json``.  Errors, usage errors included, map to
+one stderr line and exit code 2 (configuration or usage) or 3 (runtime/data).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from pathlib import Path
 
 from . import evalbench, model_io
 from .errors import DataError, DimensionError, FilterError, ParameterError, check_int
-from .signal_gen import embed, embed_pair, read_series_csv, standardize, write_series_csv
+from .signal_gen import (embed, embed_pair, read_series_csv, standardize, write_csv,
+                         write_series_csv)
 
 __all__ = ["main"]
 
@@ -48,23 +51,43 @@ def _load_json(path) -> dict:
     return cfg
 
 
-def _echo_config(cfg: dict, out_path) -> None:
-    """Write the fully resolved config next to the command's output."""
-    out_path = Path(out_path)
-    if out_path.suffix:
-        echo = out_path.with_suffix("").as_posix() + ".config.json"
-    else:
-        echo = (out_path / "config.json").as_posix()
-    with open(echo, "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _sibling(out, suffix: str) -> str:
+    """The file beside ``out`` that shares its stem: ``m.npz`` gives
+    ``m<suffix>``, and so does ``m``."""
+    return Path(out).with_suffix("").as_posix() + suffix
+
+
+def _check_out(args) -> None:
+    """Reject an ``--out`` that cannot take the command's output, before any
+    work: ``bench`` makes its directory, so the nearest existing path on the
+    way up must be a directory; the others write ``--out`` and its siblings
+    into an existing directory."""
+    out = Path(args.out)
+    if args.command == "bench":
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise DataError(f"cannot make output directory {args.out!r}: "
+                            f"{str(found)!r} is not a directory")
+    elif out.is_dir():
+        raise DataError(f"output file {args.out!r} is a directory")
+    elif not out.parent.is_dir():
+        raise DataError(f"no directory {str(out.parent)!r} to write {args.out!r} in")
+
+
+def _standardize(s, path):
+    """``standardize(s)``; a series it cannot scale names its file."""
+    try:
+        return standardize(s)
+    except DataError as exc:
+        raise type(exc)(f"series file {str(path)!r}: {exc}") from None
 
 
 def _embed_from(args, cfg: dict, L: int, horizon: int, source: str = "config"):
     """The (window, target) pairs of ``--series`` (and ``--desired``),
     standardized unless the config's ``standardize`` is false.  A series too
     short for L and the horizon exits 2 if they come from the config, else 3;
-    files of unequal lengths, or of one sample to standardize, exit 3."""
+    files of unequal lengths, or of one sample to standardize, exit 3, as
+    does a file that cannot be standardized, named by :func:`_standardize`."""
     scaled = cfg.get("standardize", True)
     if not isinstance(scaled, bool):
         raise ParameterError(f"standardize must be true or false, got {scaled!r}")
@@ -77,9 +100,9 @@ def _embed_from(args, cfg: dict, L: int, horizon: int, source: str = "config"):
     if scaled and len(s) < 2:
         raise DataError(f"cannot standardize {files}: 1 sample, at least 2 needed")
     if scaled:
-        s = standardize(s)
+        s = _standardize(s, args.series)
         if desired is not None:
-            desired = standardize(desired)
+            desired = _standardize(desired, args.desired)
     if len(s) < L + horizon:
         error = DimensionError if source == "config" else DataError
         raise error(f"series of length {len(s)} too short for the {source}'s "
@@ -99,7 +122,7 @@ def cmd_generate(args) -> int:
     out = evalbench.make_series(dataset, params, seed, n)
     if dataset == "fir":
         x, z = out
-        desired_path = Path(args.out).with_suffix("").as_posix() + ".desired.csv"
+        desired_path = _sibling(args.out, ".desired.csv")
         write_series_csv(x, args.out)
         write_series_csv(z, desired_path)
         print(f"wrote {len(x)} samples to {args.out} (input) and {desired_path} (desired)")
@@ -112,7 +135,8 @@ def cmd_generate(args) -> int:
         "mean %.6g  std %.6g  min %.6g  max %.6g"
         % (values.mean(), values.std(), values.min(), values.max())
     )
-    _echo_config({**cfg, "dataset": dataset, "n": n, "seed": seed}, args.out)
+    evalbench.write_json({**cfg, "dataset": dataset, "n": n, "seed": seed},
+                         _sibling(args.out, ".config.json"))
     return 0
 
 
@@ -140,10 +164,10 @@ def cmd_fit(args) -> int:
         print("alpha %.17g" % model.alpha)
     if model.kind == "wiener":
         print("weights", " ".join("%.17g" % w for w in model.weights))
-    _echo_config(
+    evalbench.write_json(
         {**cfg, "method": method, "order_L": L, "horizon": horizon,
          "standardize": cfg.get("standardize", True)},
-        args.out,
+        _sibling(args.out, ".config.json"),
     )
     return 0
 
@@ -162,15 +186,12 @@ def cmd_predict(args) -> int:
     data = _embed_from(args, cfg, model.order_L, model.horizon, "model file")
     pred = model.predict(data.windows)
     err = evalbench.squared_errors(pred, data.targets)
-    with open(args.out, "w") as f:
-        f.write("index,prediction,target,squared_error\n")
-        for i in range(len(data)):
-            f.write(
-                "%d,%.17g,%.17g,%.17g\n" % (i, pred[i], data.targets[i], err[i])
-            )
+    write_csv(args.out, "index,prediction,target,squared_error",
+              "%d,%.17g,%.17g,%.17g", zip(range(len(data)), pred, data.targets, err))
     total = evalbench.mse(pred, data.targets)
     print("test MSE %.17g over %d windows" % (total, len(data)))
-    _echo_config({"standardize": cfg.get("standardize", True)}, args.out)
+    evalbench.write_json({"standardize": cfg.get("standardize", True)},
+                         _sibling(args.out, ".config.json"))
     return 0
 
 
@@ -198,8 +219,9 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     evalbench.write_results_csv(table, out_dir / "results.csv")
     evalbench.write_timing_csv(timing, out_dir / "timing.csv")
-    evalbench.write_summary_json(summary, out_dir / "summary.json")
-    _echo_config({**dataclasses.asdict(cfg), "timing": sweep}, out_dir)
+    evalbench.write_json(summary, out_dir / "summary.json")
+    evalbench.write_json({**dataclasses.asdict(cfg), "timing": sweep},
+                         out_dir / "config.json")
     print(
         f"wrote {len(table.rows)} result rows "
         f"({len(table.errors)} errored cells) to {out_dir / 'results.csv'}"
@@ -257,6 +279,7 @@ def main(argv=None) -> int:
     stderr and exit 2 (configuration or usage) or 3 (runtime or data)."""
     try:
         args = _build_parser().parse_args(argv)
+        _check_out(args)
         return args.handler(args)
     except (FilterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

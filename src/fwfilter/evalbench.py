@@ -28,6 +28,7 @@ from .signal_gen import (
     gen_lorenz,
     gen_mackey_glass,
     standardize,
+    write_csv,
 )
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
     "write_results_csv",
     "write_timing_csv",
     "summarize",
-    "write_summary_json",
+    "write_json",
 ]
 
 DATASETS = ("mackey_glass", "lorenz", "fir")
@@ -458,29 +459,15 @@ def timing_scaling(
 
 def write_results_csv(table: ResultTable, path) -> None:
     """Emit result rows (errors excluded) in the documented CSV schema."""
-    with open(path, "w") as f:
-        f.write(RESULTS_HEADER + "\n")
-        for r in table.rows:
-            f.write(
-                "%s,%d,%d,%.17g,%.17g,%.17g\n"
-                % (
-                    r.method,
-                    r.n_train,
-                    r.fold,
-                    r.mse,
-                    r.fit_seconds,
-                    r.predict_seconds_per_query * 1e6,
-                )
-            )
+    write_csv(path, RESULTS_HEADER, "%s,%d,%d,%.17g,%.17g,%.17g",
+              ((r.method, r.n_train, r.fold, r.mse, r.fit_seconds,
+                r.predict_seconds_per_query * 1e6) for r in table.rows))
 
 
 def write_timing_csv(table: TimingTable, path) -> None:
-    with open(path, "w") as f:
-        f.write(TIMING_HEADER + "\n")
-        for n, ft, pt in zip(
-            table.sizes, table.fit_seconds, table.predict_seconds_per_query
-        ):
-            f.write("%s,%d,%.17g,%.17g\n" % (table.method, n, ft, pt * 1e6))
+    write_csv(path, TIMING_HEADER, "%s,%d,%.17g,%.17g",
+              ((table.method, n, ft, pt * 1e6) for n, ft, pt in
+               zip(table.sizes, table.fit_seconds, table.predict_seconds_per_query)))
 
 
 def summarize(table: ResultTable) -> dict:
@@ -507,7 +494,9 @@ def summarize(table: ResultTable) -> dict:
     }
 
 
-def write_summary_json(summary: dict, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; the one writer of
+    every JSON file the package writes."""
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

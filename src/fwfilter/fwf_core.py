@@ -3,7 +3,11 @@
 The filter solves a Toeplitz system built from correntropy lag profiles to
 obtain a weight function over lags, then attaches to every training window
 a "partner" vector — the point where the learned functional is evaluated so
-its output approximates that window's target.  Test predictions evaluate
+its output approximates that window's target: partner_i = x_i - alpha *
+offset_i, element-wise, where offset_i[l] = sigma_in * sqrt(-2 ln g) with
+g = max(exp(-(w_l - t_i)^2 / (2 sigma_in^2)), G_FLOOR).  That is
+|w_l - t_i| up to rounding below sigma_in * sqrt(-2 ln G_FLOOR), about
+37.17 sigma_in, and capped there above it.  Test predictions evaluate
 the functional at the partners of the K nearest training windows, average,
 and subtract a bias estimated on the training set.
 """

@@ -48,14 +48,16 @@ def _from_json(name: str, value):
 
 
 def save_model(model, path) -> None:
-    """Write a fitted model to ``path`` in the npz envelope."""
+    """Write a fitted model in the npz envelope to exactly ``path``: the
+    file is opened here, so no ``.npz`` is appended to the name."""
     kind = getattr(model, "kind", None)
     if not (isinstance(kind, str) and kind in _FIELDS):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
     _, arrays, scalars = _FIELDS[kind]
     meta = {k: _to_json(getattr(model, k)) for k in scalars}
-    np.savez(path, format_version=FORMAT_VERSION, kind=kind,
-             **{k: getattr(model, k) for k in arrays}, meta=json.dumps(meta))
+    with open(path, "wb") as f:
+        np.savez(f, format_version=FORMAT_VERSION, kind=kind,
+                 **{k: getattr(model, k) for k in arrays}, meta=json.dumps(meta))
 
 
 def load_model(path):

@@ -38,6 +38,7 @@ __all__ = [
     "embed",
     "embed_pair",
     "standardize",
+    "write_csv",
     "write_series_csv",
     "read_series_csv",
 ]
@@ -338,17 +339,24 @@ def _scale_error(v: np.ndarray, sd: float, use: str) -> DataError:
     )
 
 
+def write_csv(path, header: str, fmt: str, rows) -> None:
+    """Write the ``header`` line, then ``fmt % row`` for each row; the one
+    writer of every CSV file the package writes."""
+    line = fmt + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(line % row for row in rows)
+
+
 def write_series_csv(s: Series, path) -> None:
     """Write a series as single-column CSV with header ``value``."""
-    with open(path, "w") as f:
-        f.write("value\n")
-        for v in s.values:
-            f.write("%.17g\n" % v)
+    write_csv(path, "value", "%.17g", s.values)
 
 
 def read_series_csv(path) -> Series:
     """Read a series written by :func:`write_series_csv`; a file that
-    cannot be read as UTF-8 text raises :class:`DataError` naming it."""
+    cannot be read as UTF-8 text, or holds a non-numeric or non-finite
+    sample, raises :class:`DataError` naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline().strip()
@@ -364,4 +372,6 @@ def read_series_csv(path) -> Series:
         raise DataError(f"non-numeric sample in {str(path)!r}: {exc}") from exc
     if values.size == 0:
         raise DataError(f"no samples in {str(path)!r}")
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite sample in {str(path)!r}")
     return Series(values)

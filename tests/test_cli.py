@@ -714,6 +714,18 @@ class TestBench:
         assert summary["timing"]["method"] == "wiener"
         assert "wrote 8 result rows" in stdout
 
+    def test_dotted_directory(self, tmp_path, capsys):
+        # --out is the directory whatever it is called; the echo goes inside
+        cfg = self.bench_config(tmp_path)
+        d = tmp_path / "out"
+        d.mkdir()
+        code, _, stderr = run(capsys, "bench", "--config", cfg, "--out", str(d / "res.v1"))
+        assert (code, stderr) == (0, "")
+        assert [p.name for p in d.iterdir()] == ["res.v1"]
+        assert sorted(p.name for p in (d / "res.v1").iterdir()) == [
+            "config.json", "results.csv", "summary.json", "timing.csv"]
+        assert json.loads((d / "res.v1" / "config.json").read_text())["folds"] == 2
+
     def test_mse_column_reproducible(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path)
         mse_cols = []
@@ -979,6 +991,50 @@ class TestTune:
         assert len((out / "timing.csv").read_text().splitlines()) == 1 + 3
         echo = json.loads((out / "config.json").read_text())
         assert echo["methods"] == [fwf]
+
+
+class TestOutputPaths:
+    """``generate``, ``fit`` and ``predict`` write exactly ``--out`` and echo
+    to ``<out-stem>.config.json`` beside it, whatever the name holds."""
+
+    def out_dir(self, tmp_path):
+        d = tmp_path / "out"
+        d.mkdir()
+        return d
+
+    def fit(self, tmp_path, capsys, mg_csv, out):
+        cfg = write_json(tmp_path / "fit.json", {"method": "wiener", "order_L": 5})
+        return run(capsys, "fit", "--config", cfg, "--series", mg_csv, "--out", str(out))
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "predict"])
+    def test_suffixless_out(self, tmp_path, capsys, mg_csv, command):
+        d = self.out_dir(tmp_path)
+        out = d / "series"
+        if command == "generate":
+            cfg = write_json(tmp_path / "gen.json", {"dataset": "mackey_glass", "n": 50})
+            code, _, stderr = run(capsys, "generate", "--config", cfg, "--out", str(out))
+        elif command == "fit":
+            code, _, stderr = self.fit(tmp_path, capsys, mg_csv, out)
+        else:
+            assert self.fit(tmp_path, capsys, mg_csv, tmp_path / "m.npz")[0] == 0
+            code, _, stderr = run(capsys, "predict", "--model", str(tmp_path / "m.npz"),
+                                  "--series", mg_csv, "--out", str(out))
+        assert (code, stderr) == (0, "")
+        assert sorted(p.name for p in d.iterdir()) == ["series", "series.config.json"]
+        assert out.is_file()
+        if command == "fit":
+            assert fw.load_model(out).kind == "wiener"
+
+    def test_fit_out_is_the_model_path(self, tmp_path, capsys, mg_csv):
+        # no .npz twin: predict reads the model at the fit's exact --out
+        d = self.out_dir(tmp_path)
+        assert self.fit(tmp_path, capsys, mg_csv, d / "m.bin")[0] == 0
+        assert sorted(p.name for p in d.iterdir()) == ["m.bin", "m.config.json"]
+        code, stdout, stderr = run(capsys, "predict", "--model", str(d / "m.bin"),
+                                   "--series", mg_csv, "--out", str(d / "p.csv"))
+        assert (code, stderr) == (0, "") and "test MSE" in stdout
+        assert sorted(p.name for p in d.iterdir()) == [
+            "m.bin", "m.config.json", "p.config.json", "p.csv"]
 
 
 def test_import_skips_unused_scipy_subpackages():

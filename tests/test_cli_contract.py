@@ -19,8 +19,15 @@ flag or command, a missing command or option) or a config the command
 rejects (a repeated bench method, a ``name`` key in a fit, a fit horizon
 past the series length) ends in exit 2, and an unreadable or non-UTF-8
 config or series file, a missing file whose name holds a newline, an
-edited model file, or a model horizon past the series length, in exit 3;
-each prints exactly one ``error:`` line and writes no file.
+edited model file, a model horizon past the series length, a series file
+that cannot be standardized or holds a non-finite sample, or an ``--out``
+that cannot be written (found before any data is read), in exit 3; each
+prints exactly one ``error:`` line and writes no file.
+
+Each command writes exactly ``--out``: drawn names with no suffix, one dot
+or several give the output and its ``<out-stem>`` siblings and nothing
+else, and a bench writes its four files inside the directory ``--out``
+names.
 """
 
 import contextlib
@@ -287,24 +294,153 @@ def test_file_fault(fault_dir, case):
 
 
 # data faults the config cannot cause, in fit and predict: a 1-sample series
-# has nothing to standardize, and a desired series of another length has no
-# pairing (exit 3, naming the file or files)
+# has nothing to standardize, a desired series of another length has no
+# pairing, a constant or too large series cannot be standardized, and a file
+# can hold a NaN or a number past the double range (exit 3, naming the file
+# or files)
 @pytest.mark.parametrize("command", ["fit", "predict"])
-@pytest.mark.parametrize("fault", ["one-sample", "unequal-desired"])
+@pytest.mark.parametrize("fault", ["one-sample", "unequal-desired", "constant-desired",
+                                   "nan", "overflow", "huge"])
 def test_series_data_fault(fault_dir, command, fault):
     root, paths = fault_dir
     bad = root / "bad.csv"
     if fault == "one-sample":
         fw.write_series_csv(fw.Series(np.array([1.5])), bad)
         data, named = ["--series", bad], f"cannot standardize {str(bad)!r}: 1 sample"
-    else:
+    elif fault == "unequal-desired":
         fw.write_series_csv(fw.gen_mackey_glass(fw.MGParams(), 200), bad)
         data = ["--series", paths["series"], "--desired", bad]
         named = (f"series files {str(paths['series'])!r} and {str(bad)!r} must "
                  "have equal length, got 300 and 200 samples")
+    elif fault == "constant-desired":
+        fw.write_series_csv(fw.Series(np.full(300, 2.0)), bad)
+        data = ["--series", paths["series"], "--desired", bad]
+        named = (f"series file {str(bad)!r}: cannot standardize a zero-variance "
+                 "series")
+    elif fault == "huge":
+        fw.write_series_csv(fw.Series(np.resize([1e200, -1e200], 300)), bad)
+        data = ["--series", bad]
+        named = f"series file {str(bad)!r}: the series is too large for standardization"
+    else:
+        bad.write_text("value\n1.5\n%s\n2.5\n" % ("nan" if fault == "nan" else "1e400"))
+        data, named = ["--series", bad], f"non-finite sample in {str(bad)!r}"
     source = (["--config", paths["fit"]] if command == "fit"
               else ["--model", paths["model"]])
     check_fault(root, 3, named, command, *source, *data, "--out", paths["out"])
+
+
+# an --out that cannot take the output, checked before any data is read:
+# the directory a file goes into is missing or a file, the file is a
+# directory, and a bench directory is (or lies under) a file; a phrase the
+# one-line message must hold, with {out} the --out path
+OUT_FAULTS = {
+    "no-parent": ("nodir/x.npz", "no directory {nodir!r} to write {out!r} in"),
+    "file-parent": ("afile/x.npz", "no directory {afile!r} to write {out!r} in"),
+    "directory": ("sub", "output file {out!r} is a directory"),
+}
+BENCH_OUT_FAULTS = {
+    "file": ("afile", "cannot make output directory {out!r}: {afile!r} is not a directory"),
+    "under-file": ("afile/res", "cannot make output directory {out!r}: {afile!r} is "
+                                "not a directory"),
+}
+
+
+def no_work(monkeypatch):
+    """Make reading a series or a model, generating, and running the bench
+    experiment fail the test."""
+    def fail(*args, **kwargs):
+        pytest.fail("the command did work before checking --out")
+    for module, name in [(fw.cli, "read_series_csv"), (fw.model_io, "load_model"),
+                         (fw.evalbench, "make_series"), (fw.evalbench, "run_experiment")]:
+        monkeypatch.setattr(module, name, fail)
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "predict"])
+@pytest.mark.parametrize("case", sorted(OUT_FAULTS))
+def test_out_fault(fault_dir, monkeypatch, command, case):
+    root, paths = fault_dir
+    (root / "afile").write_text("")
+    rel, named = OUT_FAULTS[case]
+    out = str(root / rel)
+    named = named.format(out=out, nodir=str(root / "nodir"), afile=str(root / "afile"))
+    argv = {"generate": ["--config", paths["gen"]],
+            "fit": ["--config", paths["fit"], "--series", paths["series"]],
+            "predict": ["--model", paths["model"], "--series", paths["series"]]}
+    no_work(monkeypatch)
+    check_fault(root, 3, named, command, *argv[command], "--out", out)
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_OUT_FAULTS))
+def test_bench_out_fault(fault_dir, monkeypatch, case):
+    root, paths = fault_dir
+    (root / "afile").write_text("")
+    (root / "bench.json").write_text(json.dumps({"dataset": "fir"}))
+    rel, named = BENCH_OUT_FAULTS[case]
+    out = str(root / rel)
+    no_work(monkeypatch)
+    check_fault(root, 3, named.format(out=out, afile=str(root / "afile")),
+                "bench", "--config", root / "bench.json", "--out", out)
+
+
+# --out names with no suffix, one dot or several dots
+OUT_NAMES = st.lists(st.text("abz09_-", min_size=1, max_size=3), min_size=1,
+                     max_size=4).map(".".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["generate-mg", "generate-fir", "fit", "predict"]), OUT_NAMES)
+@example("fit", "model")
+@example("fit", "m.bin")
+@example("generate-fir", "a.b.c")
+def test_out_paths(files, command, name):
+    """A file command writes exactly --out and <out-stem>.config.json beside
+    it (a FIR generate adds <out-stem>.desired.csv), and nothing else."""
+    series, models = files
+    stem = name.rsplit(".", 1)[0]
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        (root / "in").mkdir()
+        cfg = root / "in" / "cfg.json"
+        out = root / "out"
+        out.mkdir()
+        if command.startswith("generate"):
+            dataset = {"generate-mg": "mackey_glass", "generate-fir": "fir"}[command]
+            cfg.write_text(json.dumps({"dataset": dataset, "n": 50}))
+            argv = ["generate", "--config", cfg]
+        elif command == "fit":
+            cfg.write_text(json.dumps({"method": "wiener", "order_L": 5}))
+            argv = ["fit", "--config", cfg, "--series", series]
+        else:
+            argv = ["predict", "--model", models["wiener"], "--series", series]
+        assert run(*argv, "--out", out / name) == (0, "")
+        want = {name, stem + ".config.json"}
+        if command == "generate-fir":
+            want.add(stem + ".desired.csv")
+        assert {p.name for p in out.iterdir()} == want
+        if command == "fit":
+            assert run("predict", "--model", out / name, "--series", series,
+                       "--out", root / "in" / "p.csv") == (0, "")
+
+
+@settings(max_examples=8, deadline=None)
+@given(OUT_NAMES)
+@example("res.v1")
+def test_bench_out_paths(name):
+    """A bench writes its four files inside the directory --out names, and
+    nothing beside it."""
+    cfg = {"dataset": "fir", "order_L": 3, "horizon": 0, "train_sizes": [60],
+           "folds": 2, "test_size": 20, "methods": [{"name": "wiener"}],
+           "timing": {"method": "wiener", "sizes": [50, 100, 200], "repeats": 1,
+                      "queries": 20}}
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        (root / "out").mkdir()
+        assert run("bench", "--config", root / "cfg.json",
+                   "--out", root / "out" / name) == (0, "")
+        assert [p.name for p in (root / "out").iterdir()] == [name]
+        assert {p.name for p in (root / "out" / name).iterdir()} == {
+            "config.json", "results.csv", "summary.json", "timing.csv"}
 
 
 def test_help_exits_0(capsys):

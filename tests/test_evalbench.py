@@ -540,7 +540,7 @@ class TestCsvOutput:
     def test_summary_json(self, tmp_path):
         table = eb.ResultTable(rows=[eb.ResultRow("fwf", 10, 0, 0.5, 0.1, 1e-6)])
         path = tmp_path / "summary.json"
-        eb.write_summary_json(eb.summarize(table), path)
+        eb.write_json(eb.summarize(table), path)
         loaded = json.loads(path.read_text())
         assert loaded["results"][0]["method"] == "fwf"
         assert loaded["errors"] == []

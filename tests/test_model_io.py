@@ -42,6 +42,20 @@ class TestFwfRoundtrip:
         np.testing.assert_array_equal(back.partners, m.partners)
         assert len(back.neighbor_index) == m.n_train
 
+    def test_suffixless_path_round_trips(self, fir_data, tmp_path, rng):
+        # the file is written at exactly the given path, with no .npz added
+        cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=0.4, horizon=0)
+        m = fw.fit(fir_data, cfg)
+        path = tmp_path / "wm"
+        fw.save_model(m, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wm"]
+        back = fw.load_model(path)
+        for name in ("weights", "partners", "train_windows", "train_targets"):
+            assert getattr(back, name).tobytes() == getattr(m, name).tobytes()
+        assert (back.alpha, back.bias, back.train_mse) == (m.alpha, m.bias, m.train_mse)
+        X = rng.standard_normal((50, 3))
+        assert fw.predict_batch(back, X).tobytes() == fw.predict_batch(m, X).tobytes()
+
     def test_grid_config_round_trips(self, fir_data, tmp_path, rng):
         # the file holds the grid as a JSON list; it loads back as a tuple
         cfg = fw.FwfConfig(order_L=3, sigma_input=0.8, alpha=[0.8, 0.05, 0.2, 0.4],
