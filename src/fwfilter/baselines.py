@@ -14,14 +14,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, DimensionError, ParameterError, check_int, check_nonneg
-from .fwf_core import _solve_in_place, solve_weights
-from .kernel_stats import (
-    autocovariance,
-    check_width,
-    crosscovariance,
-    resolve_width,
-    toeplitz,
-)
+# unused here; perfbench/tracing.py wraps solve_weights at this site too
+from .fwf_core import _solve_in_place, _wiener_solve, solve_weights  # noqa: F401
+from .kernel_stats import autocovariance, check_width, crosscovariance, resolve_width
 from .signal_gen import Dataset
 
 __all__ = [
@@ -134,18 +129,14 @@ class KafModel:
 
 def wiener_fit(data: Dataset, *, ridge: float | str = "auto") -> WienerModel:
     """Solve the covariance normal equations (R + ridge I) W = P at the
-    dataset's order.
+    dataset's order, by the Wiener solve of the correntropy filter
+    (``fwf_core._wiener_solve``) fed covariance profiles.
 
     ``ridge="auto"`` picks the smallest value keeping R positive definite.
     """
     x, L = data.source_x, data.order_L
-    R = toeplitz(autocovariance(x, L))
-    P = crosscovariance(x, data.source_z, L)
-    if ridge == "auto":
-        from .kernel_stats import auto_ridge
-
-        ridge = auto_ridge(R)
-    w = solve_weights(R, P, check_nonneg("ridge", ridge))
+    _, w = _wiener_solve(autocovariance(x, L), crosscovariance(x, data.source_z, L),
+                         ridge)
     return WienerModel(w, data.horizon)
 
 

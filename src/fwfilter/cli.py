@@ -34,6 +34,10 @@ _EPILOG = (
 )
 
 
+# the files bench writes into its --out directory
+_BENCH_FILES = ("results.csv", "timing.csv", "summary.json", "config.json")
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
@@ -57,21 +61,32 @@ def _sibling(out, suffix: str) -> str:
     return Path(out).with_suffix("").as_posix() + suffix
 
 
+def _check_file(path: str) -> None:
+    """Reject an output file that is a directory or has no directory to go in."""
+    if Path(path).is_dir():
+        raise DataError(f"output file {path!r} is a directory")
+    if not Path(path).parent.is_dir():
+        raise DataError(f"no directory {str(Path(path).parent)!r} to write {path!r} in")
+
+
 def _check_out(args) -> None:
     """Reject an ``--out`` that cannot take the command's output, before any
     work: ``bench`` makes its directory, so the nearest existing path on the
-    way up must be a directory; the others write ``--out`` and its siblings
-    into an existing directory."""
+    way up must be a directory, and none of its four files may be one; the
+    others write ``--out`` and its config echo into an existing directory.
+    A FIR ``generate`` checks its desired file once its config is read."""
+    if args.command != "bench":
+        for path in (args.out, _sibling(args.out, ".config.json")):
+            _check_file(path)
+        return
     out = Path(args.out)
-    if args.command == "bench":
-        found = next(p for p in (out, *out.parents) if p.exists())
-        if not found.is_dir():
-            raise DataError(f"cannot make output directory {args.out!r}: "
-                            f"{str(found)!r} is not a directory")
-    elif out.is_dir():
-        raise DataError(f"output file {args.out!r} is a directory")
-    elif not out.parent.is_dir():
-        raise DataError(f"no directory {str(out.parent)!r} to write {args.out!r} in")
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise DataError(f"cannot make output directory {args.out!r}: "
+                        f"{str(found)!r} is not a directory")
+    for name in _BENCH_FILES:
+        if (out / name).is_dir():
+            raise DataError(f"output file {str(out / name)!r} is a directory")
 
 
 def _standardize(s, path):
@@ -118,11 +133,13 @@ def cmd_generate(args) -> int:
     dataset, n = cfg.get("dataset"), check_int("n", cfg.get("n"), 1)
     seed = check_int("seed", cfg.get("seed", 0), 0)
     params = {k: v for k, v in cfg.items() if k not in ("dataset", "n", "seed")}
+    desired_path = _sibling(args.out, ".desired.csv")
+    if dataset == "fir":
+        _check_file(desired_path)
     # checks the dataset and every generator key before anything is written
     out = evalbench.make_series(dataset, params, seed, n)
     if dataset == "fir":
         x, z = out
-        desired_path = _sibling(args.out, ".desired.csv")
         write_series_csv(x, args.out)
         write_series_csv(z, desired_path)
         print(f"wrote {len(x)} samples to {args.out} (input) and {desired_path} (desired)")

@@ -59,7 +59,7 @@ DATASETS = ("mackey_glass", "lorenz", "fir")
 # out takes the default of baselines.<name>_fit
 _SIGMA = {"sigma": lambda k, v: v if v is None else check_width(k, v)}
 _BASELINE_KEYS = {
-    "wiener": {"ridge": lambda k, v: v if v == "auto" else check_nonneg(k, v)},
+    "wiener": {"ridge": lambda k, v: v if fwf_core._is_auto(v) else check_nonneg(k, v)},
     "klms": {**_SIGMA, "eta": baselines.check_eta},
     "krls": {**_SIGMA, "lam": check_nonneg},
 }
@@ -236,10 +236,19 @@ def mse(pred, target) -> float:
         return float(np.mean(err))
 
 
+def _finite(key: str, value) -> float:
+    """``value`` as a float if it is a finite real number."""
+    v = check_real(key, value)
+    if not np.isfinite(v):
+        raise ParameterError(f"{key} must be finite, got {value!r}")
+    return v
+
+
 def _reals(key: str, values) -> list[float]:
+    """``values`` as floats if it is a list of finite real numbers."""
     if not isinstance(values, (list, tuple)):
         raise ParameterError(f"{key} must be a list of numbers, got {values!r}")
-    return [check_real(key, v) for v in values]
+    return [_finite(key, v) for v in values]
 
 
 def make_series(dataset: str, params: dict, seed: int, n: int):
@@ -256,7 +265,7 @@ def make_series(dataset: str, params: dict, seed: int, n: int):
     # warmup and init keep the generator's defaults unless params set them
     checks = {"warmup": lambda k, v: check_int(k, v, 0)}
     if dataset == "mackey_glass":
-        checks["init"] = check_real
+        checks["init"] = _finite
         gen, cls = gen_mackey_glass, MGParams
     elif dataset == "lorenz":
         checks["init"] = lambda k, v: tuple(_reals(k, v))

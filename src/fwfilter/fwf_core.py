@@ -241,6 +241,16 @@ def _solve_in_place(A, b, ridge: float) -> np.ndarray:
     return w
 
 
+def _wiener_solve(auto, cross, ridge):
+    """The Wiener solution for the lag profiles ``auto`` and ``cross``, of
+    correntropy (the filter) or covariance (the linear baseline): solve
+    (T + ridge I) w = cross with T the Toeplitz lift of ``auto``, where
+    ``ridge="auto"`` is :func:`auto_ridge` of T.  Returns (ridge, w)."""
+    T = toeplitz(auto)
+    ridge = check_nonneg("ridge", auto_ridge(T) if _is_auto(ridge) else ridge)
+    return ridge, solve_weights(T, cross, ridge)
+
+
 def _slab_sum(x, out):
     """Sum ``x`` over its first axis into ``out``, overwriting ``x``.
 
@@ -357,9 +367,9 @@ def _prepare(data: Dataset, cfg: FwfConfig):
         )
     x = data.source_x
     s_in = resolve_width(cfg.sigma_input, x)
-    V = toeplitz(autocorrentropy(x, cfg.order_L, s_in))
+    auto = autocorrentropy(x, cfg.order_L, s_in)
     try:
-        Pv = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
+        cross = crosscorrentropy(x, data.source_z, cfg.order_L, s_in)
     except ParameterError:  # finite aligned series fail only the width check
         if cfg.sigma_input is not None:
             raise
@@ -368,8 +378,7 @@ def _prepare(data: Dataset, cfg: FwfConfig):
             f"is far off the input's scale: its cross-correntropy at Silverman's "
             f"width {s_in:.3g} is 0 at every lag; rescale it"
         ) from None
-    ridge = auto_ridge(V) if cfg.ridge == "auto" else float(cfg.ridge)
-    weights = solve_weights(V, Pv, ridge)
+    ridge, weights = _wiener_solve(auto, cross, cfg.ridge)
     # kernel similarity of each target to each weight, floored so the
     # inverse stays finite; the inverse distances are the alpha-independent
     # partner offsets
@@ -442,7 +451,7 @@ def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     to the smaller alpha.
     """
     s_in, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
-    grid = DEFAULT_ALPHA_GRID if cfg.alpha == "auto" else cfg.alpha
+    grid = DEFAULT_ALPHA_GRID if _is_auto(cfg.alpha) else cfg.alpha
     alphas, stats, best = _search_alpha(
         data, np.array(grid, dtype=float, ndmin=1), s_in, weights, offsets, nbr_idx
     )

@@ -34,11 +34,6 @@ _FIELDS = {
 }
 
 
-def _to_json(value):
-    """A meta scalar in JSON form: a config as a dict."""
-    return dataclasses.asdict(value) if isinstance(value, FwfConfig) else value
-
-
 def _from_json(name: str, value):
     if name == "config":
         value = {**value}  # a TypeError unless the config is an object
@@ -54,10 +49,11 @@ def save_model(model, path) -> None:
     if not (isinstance(kind, str) and kind in _FIELDS):
         raise DataError(f"cannot serialize object of type {type(model).__name__}")
     _, arrays, scalars = _FIELDS[kind]
-    meta = {k: _to_json(getattr(model, k)) for k in scalars}
+    # a config is a dataclass; asdict gives its JSON object
+    meta = json.dumps({k: getattr(model, k) for k in scalars}, default=dataclasses.asdict)
     with open(path, "wb") as f:
         np.savez(f, format_version=FORMAT_VERSION, kind=kind,
-                 **{k: getattr(model, k) for k in arrays}, meta=json.dumps(meta))
+                 **{k: getattr(model, k) for k in arrays}, meta=meta)
 
 
 def load_model(path):

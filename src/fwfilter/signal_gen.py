@@ -68,6 +68,15 @@ class Series:
         return self.values.size
 
 
+def _check_positive(params, names) -> None:
+    """Check that each named field of ``params`` is a positive finite real;
+    an infinite rate or step would only end in a diverged integration."""
+    cls = type(params).__name__
+    for name in names:
+        if not 0 < check_real(f"{cls}.{name}", getattr(params, name)) < math.inf:
+            raise ParameterError(f"{cls}.{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class MGParams:
     """Mackey-Glass equation parameters.
@@ -85,14 +94,13 @@ class MGParams:
     downsample: int = 6
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "n_exp", "tau_delay", "step"):
-            if not check_real(f"MGParams.{name}", getattr(self, name)) > 0:
-                raise ParameterError(f"MGParams.{name} must be positive")
+        _check_positive(self, ("beta", "gamma", "n_exp", "tau_delay", "step"))
         check_int("MGParams.downsample", self.downsample, 1)
+        # a subnormal step can make the slot count overflow to infinity
         slots = self.tau_delay / self.step
-        if abs(slots - round(slots)) > 1e-9:
+        if not (math.isfinite(slots) and abs(slots - round(slots)) <= 1e-9):
             raise ParameterError(
-                "tau_delay/step must be an integer number of history slots"
+                "tau_delay/step must be a finite integer number of history slots"
             )
 
     @property
@@ -111,9 +119,7 @@ class LorenzParams:
     downsample: int = 5
 
     def __post_init__(self):
-        for name in ("sigma", "rho", "beta", "step"):
-            if not check_real(f"LorenzParams.{name}", getattr(self, name)) > 0:
-                raise ParameterError(f"LorenzParams.{name} must be positive")
+        _check_positive(self, ("sigma", "rho", "beta", "step"))
         check_int("LorenzParams.downsample", self.downsample, 1)
 
 

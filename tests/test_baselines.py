@@ -112,6 +112,12 @@ class TestWienerFit:
         assert fw.wiener_fit(data).order_L == 4
         with pytest.raises(TypeError):
             fw.wiener_fit(data, 3)
+        # an array ridge is a bad ridge, not numpy's ambiguous truth value
+        ridge = np.array([1.0, 2.0])
+        with pytest.raises(ParameterError, match="ridge"):
+            fw.wiener_fit(data, ridge=ridge)
+        with pytest.raises(ParameterError, match="ridge"):
+            evalbench.make_fitter("wiener", {"ridge": ridge}, 4, 0)
 
 
 class TestWienerPredict:

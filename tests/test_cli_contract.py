@@ -17,12 +17,13 @@ stderr rules.
 Fixed cases cover the argument list and the files: a usage error (a removed
 flag or command, a missing command or option) or a config the command
 rejects (a repeated bench method, a ``name`` key in a fit, a fit horizon
-past the series length) ends in exit 2, and an unreadable or non-UTF-8
-config or series file, a missing file whose name holds a newline, an
-edited model file, a model horizon past the series length, a series file
-that cannot be standardized or holds a non-finite sample, or an ``--out``
-that cannot be written (found before any data is read), in exit 3; each
-prints exactly one ``error:`` line and writes no file.
+past the series length, a generator setting that is not finite) ends in
+exit 2, and an unreadable or non-UTF-8 config or series file, a missing
+file whose name holds a newline, an edited model file, a model horizon past
+the series length, a series file that cannot be standardized or holds a
+non-finite sample, or an output that cannot be written (``--out``, a file
+written beside it or a bench file; found before any data is read), in exit
+3; each prints exactly one ``error:`` line and writes no file.
 
 Each command writes exactly ``--out``: drawn names with no suffix, one dot
 or several give the output and its ``<out-stem>`` siblings and nothing
@@ -70,7 +71,7 @@ BENCH_KEYS = [
     "generator.n",
     "methods.0.name", "methods.0.sigma_input", "methods.1.ridge",
     "methods.2.eta", "timing.method", "timing.sizes", "timing.repeats",
-    "timing.queries", "timing.bogus",
+    "timing.queries", "timing.bogus", "generator.init", "generator.tau_delay",
 ]
 SIZES = st.lists(st.integers(-1, 200), max_size=3)
 SWEEP_SIZES = st.lists(st.integers(-1, 400), max_size=4)
@@ -198,6 +199,9 @@ def bench_cases(draw):
 # removed settings: a method name and the generator's sample count
 @example(("methods.0.name", "krr"))
 @example(("generator.n", 5000))
+# non-finite generator settings
+@example(("generator.init", float("nan")))
+@example(("generator.tau_delay", float("inf")))
 def test_bench_contract(case):
     cfg = {
         "dataset": "mackey_glass", "generator": {"downsample": 1},
@@ -329,19 +333,31 @@ def test_series_data_fault(fault_dir, command, fault):
     check_fault(root, 3, named, command, *source, *data, "--out", paths["out"])
 
 
-# an --out that cannot take the output, checked before any data is read:
-# the directory a file goes into is missing or a file, the file is a
-# directory, and a bench directory is (or lies under) a file; a phrase the
-# one-line message must hold, with {out} the --out path
+# an output that cannot be written, checked before any data is read: the
+# directory a file goes into is missing or a file, the file is a directory,
+# a bench directory is (or lies under) a file, and a file written beside
+# --out or inside the bench directory is a directory; the --out path, the
+# file made a directory (or None), and a phrase the one-line message must
+# hold, with {out} the --out path and {bad} the directory-made file
 OUT_FAULTS = {
-    "no-parent": ("nodir/x.npz", "no directory {nodir!r} to write {out!r} in"),
-    "file-parent": ("afile/x.npz", "no directory {afile!r} to write {out!r} in"),
-    "directory": ("sub", "output file {out!r} is a directory"),
+    "no-parent": ("nodir/x.npz", None, "no directory {nodir!r} to write {out!r} in"),
+    "file-parent": ("afile/x.npz", None, "no directory {afile!r} to write {out!r} in"),
+    "directory": ("sub", None, "output file {out!r} is a directory"),
+    "config-directory": ("x.out", "x.config.json", "output file {bad!r} is a directory"),
+    # only a FIR generate writes a desired file
+    "desired-directory": ("x.csv", "x.desired.csv", "output file {bad!r} is a directory"),
 }
+# (case, command) pairs; ids are case-command
+OUT_CASES = [(case, command) for case in ("directory", "file-parent", "no-parent")
+             for command in ("fit", "generate", "predict")]
+OUT_CASES += [("config-directory", command) for command in ("generate", "fit", "predict")]
+OUT_CASES += [("desired-directory", "generate")]
 BENCH_OUT_FAULTS = {
-    "file": ("afile", "cannot make output directory {out!r}: {afile!r} is not a directory"),
-    "under-file": ("afile/res", "cannot make output directory {out!r}: {afile!r} is "
-                                "not a directory"),
+    "file": ("afile", None,
+             "cannot make output directory {out!r}: {afile!r} is not a directory"),
+    "under-file": ("afile/res", None, "cannot make output directory {out!r}: "
+                                      "{afile!r} is not a directory"),
+    "summary-directory": ("res", "res/summary.json", "output file {bad!r} is a directory"),
 }
 
 
@@ -355,14 +371,24 @@ def no_work(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
-@pytest.mark.parametrize("command", ["generate", "fit", "predict"])
-@pytest.mark.parametrize("case", sorted(OUT_FAULTS))
-def test_out_fault(fault_dir, monkeypatch, command, case):
-    root, paths = fault_dir
+def out_fault(root, fault):
+    """The --out path of ``fault`` and its phrase, with the directory it
+    names made, and a file ``afile``."""
     (root / "afile").write_text("")
-    rel, named = OUT_FAULTS[case]
+    rel, bad, named = fault
+    if bad is not None:
+        (root / bad).mkdir(parents=True)
     out = str(root / rel)
-    named = named.format(out=out, nodir=str(root / "nodir"), afile=str(root / "afile"))
+    return out, named.format(out=out, bad=bad and str(root / bad),
+                             nodir=str(root / "nodir"), afile=str(root / "afile"))
+
+
+@pytest.mark.parametrize("case, command", OUT_CASES,
+                         ids=[f"{case}-{command}" for case, command in OUT_CASES])
+def test_out_fault(fault_dir, monkeypatch, command, case):
+    # the generate config is a FIR one, so generate writes a desired file
+    root, paths = fault_dir
+    out, named = out_fault(root, OUT_FAULTS[case])
     argv = {"generate": ["--config", paths["gen"]],
             "fit": ["--config", paths["fit"], "--series", paths["series"]],
             "predict": ["--model", paths["model"], "--series", paths["series"]]}
@@ -370,16 +396,13 @@ def test_out_fault(fault_dir, monkeypatch, command, case):
     check_fault(root, 3, named, command, *argv[command], "--out", out)
 
 
-@pytest.mark.parametrize("case", sorted(BENCH_OUT_FAULTS))
+@pytest.mark.parametrize("case", list(BENCH_OUT_FAULTS))
 def test_bench_out_fault(fault_dir, monkeypatch, case):
     root, paths = fault_dir
-    (root / "afile").write_text("")
     (root / "bench.json").write_text(json.dumps({"dataset": "fir"}))
-    rel, named = BENCH_OUT_FAULTS[case]
-    out = str(root / rel)
+    out, named = out_fault(root, BENCH_OUT_FAULTS[case])
     no_work(monkeypatch)
-    check_fault(root, 3, named.format(out=out, afile=str(root / "afile")),
-                "bench", "--config", root / "bench.json", "--out", out)
+    check_fault(root, 3, named, "bench", "--config", root / "bench.json", "--out", out)
 
 
 # --out names with no suffix, one dot or several dots
@@ -562,6 +585,28 @@ CONFIG_FAULTS = {
                          "series of length 300 too short for the config's "
                          "L=5, horizon=400"),
 }
+
+
+# generator settings that are not finite, or give no finite count of
+# Mackey-Glass history slots: each is a bad config value, named by its key
+GENERATOR_FAULTS = {
+    "infinite-tau-delay": ({"dataset": "mackey_glass", "tau_delay": float("inf")},
+                           "tau_delay"),
+    "subnormal-step": ({"dataset": "mackey_glass", "step": 1e-320}, "tau_delay/step"),
+    "infinite-beta": ({"dataset": "mackey_glass", "beta": float("inf")}, "MGParams.beta"),
+    "nan-init": ({"dataset": "mackey_glass", "init": float("nan")}, "init"),
+    "nan-lorenz-init": ({"dataset": "lorenz", "init": [float("nan"), 1, 1]}, "init"),
+    "nan-fir-coeffs": ({"dataset": "fir", "coeffs": [float("nan"), 0.2]}, "coeffs"),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_FAULTS))
+def test_generator_setting_fault(tmp_path, case):
+    cfg, named = GENERATOR_FAULTS[case]
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"n": 50, **cfg}))
+    check_fault(tmp_path, 2, named, "generate", "--config", path,
+                "--out", tmp_path / "s.csv")
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))

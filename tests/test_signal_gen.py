@@ -103,6 +103,16 @@ class TestMGParams:
         with pytest.raises(ParameterError):
             fw.MGParams(tau_delay=0.35, step=0.1)
 
+    @pytest.mark.parametrize("name", ["beta", "gamma", "n_exp", "tau_delay", "step"])
+    def test_infinite_fields_rejected(self, name):
+        with pytest.raises(ParameterError, match=f"MGParams.{name}"):
+            fw.MGParams(**{name: np.inf})
+
+    def test_slot_count_must_be_finite(self):
+        # 30 / 1e-320 overflows to infinity, which has no whole slot count
+        with pytest.raises(ParameterError, match="tau_delay/step"):
+            fw.MGParams(step=1e-320)
+
 
 class TestMackeyGlass:
     def test_equilibrium_at_one_stays_constant(self):
@@ -173,6 +183,13 @@ class TestMackeyGlass:
     def test_warmup_must_cover_history(self):
         with pytest.raises(ParameterError, match="warmup"):
             fw.gen_mackey_glass(fw.MGParams(), 10, warmup=10)
+
+
+class TestLorenzParams:
+    @pytest.mark.parametrize("name", ["sigma", "rho", "beta", "step"])
+    def test_infinite_fields_rejected(self, name):
+        with pytest.raises(ParameterError, match=f"LorenzParams.{name}"):
+            fw.LorenzParams(**{name: np.inf})
 
 
 class TestLorenz:
