@@ -293,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; every error ends here, as one ``error:`` line on
-    stderr and exit 2 (configuration or usage) or 3 (runtime or data)."""
+    stderr and exit 2 (configuration or usage) or 3 (runtime or data).
+    Running out of memory is a runtime failure too, and ends a bench run."""
     try:
         args = _build_parser().parse_args(argv)
         _check_out(args)
@@ -301,6 +302,10 @@ def main(argv=None) -> int:
     except (FilterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

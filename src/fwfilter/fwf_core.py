@@ -63,6 +63,14 @@ _ROW_CHUNK = 2048
 # bytes of raw sweep outputs that one pass of the alpha search may hold
 _PASS_BYTES = 16 * 2**20
 
+# rows on which the alpha search screens every grid point before it scores
+# any fully (see _search_alpha).  At N = 1e5 one chunk orders the default
+# grid as well as three did, and evaluates the fewest (alpha, chunk) pairs
+_SCREEN_ROWS = _ROW_CHUNK
+
+# unit roundoff of a double
+_EPS = 2.0**-53
+
 # exp rounds every argument below this to +0.0: exp(-746) is about 1e-324,
 # under half the smallest subnormal.  numpy's exp takes a slow path for
 # zero and subnormal results, so these lanes are set rather than computed
@@ -306,12 +314,14 @@ def _kernel_terms(d, q, w, neg_s2, zero=None):
     d *= w
 
 
-def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas):
+def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas, out,
+                   start=0, drop=None):
     """Raw outputs (no bias subtraction) of the functional on the training
-    windows ``X`` at each of ``alphas``: a ``len(alphas) x N`` array whose
-    row ``j`` is :func:`predict_batch`'s raw output for ``X`` with the
-    partners ``X - alphas[j]*offsets``, bitwise.  ``nbr_idx`` is the N x K
-    neighbor rows of ``X`` in itself.
+    windows ``X`` at each of ``alphas``, into ``out``, a ``len(alphas) x M``
+    array with M at most N: ``out[j, start:]`` receives :func:`predict_batch`'s
+    raw output for windows ``start`` to M of ``X`` with the partners
+    ``X - alphas[j]*offsets``, bitwise.  ``nbr_idx`` is the N x K neighbor
+    rows of ``X`` in itself.
 
     Each ``_ROW_CHUNK``-row chunk is laid out lag-major: its gathered
     windows, offsets, queries and weights are ``L x K x b`` blocks, reused
@@ -323,18 +333,27 @@ def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas):
     :func:`predict_batch`'s two numpy sums, and the K-sum is divided by K.
     So a row's bits depend neither on the chunking nor on the alphas
     beside it.
+
+    After each chunk, ``drop(live, lo, hi)`` gets the indices of the alphas
+    still in the sweep and the chunk's rows, and returns those to keep; the
+    sweep ends when none is left.  The alpha search drops a point there once
+    a lower bound on its training MSE, the squared deviations of ``raw -
+    targets`` from each chunk's mean less a rounding margin, exceeds the
+    best MSE so far (see :func:`_search_alpha`).
     """
-    N, K = nbr_idx.shape
-    L = X.shape[1]
-    raw = np.empty((len(alphas), N))
+    K = nbr_idx.shape[1]
+    L, stop = X.shape[1], out.shape[1]
     neg_s2 = -2.0 * sigma_input * sigma_input
     # the query and weight blocks stay full-shape: as broadcast L x 1 x b
     # and L x 1 x 1 views they keep the bits but slow _kernel_terms by 15%
-    pts, offs, d, q, w = np.empty((5, L, K, min(N, _ROW_CHUNK)))
+    pts, offs, d, q, w = np.empty((5, L, K, min(stop - start, _ROW_CHUNK)))
     zero = np.empty(d.shape, dtype=bool)
     w[...] = weights[:, None, None]
-    for lo in range(0, N, _ROW_CHUNK):
-        rows = nbr_idx[lo : lo + _ROW_CHUNK]
+    live = np.arange(len(alphas))
+    for lo in range(start, stop, _ROW_CHUNK):
+        if not len(live):
+            break
+        rows = nbr_idx[lo : min(lo + _ROW_CHUNK, stop)]
         b = len(rows)
         # gather in natural order into the work block, then transpose:
         # cheaper than gathering single lags across the whole array.  The
@@ -347,13 +366,15 @@ def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas):
         offs[..., :b] = nat.transpose(2, 1, 0)
         q[..., :b] = X[lo : lo + b].T[:, None, :]
         p_b, o_b, d_b, q_b, w_b, z_b = (a[..., :b] for a in (pts, offs, d, q, w, zero))
-        for j, a in enumerate(alphas):
-            np.multiply(a, o_b, out=d_b)
+        for j in live:
+            np.multiply(alphas[j], o_b, out=d_b)
             np.subtract(p_b, d_b, out=d_b)
             _kernel_terms(d_b, q_b, w_b, neg_s2, z_b)
-            _slab_sum(_slab_sum(d_b, d_b[0]), raw[j, lo : lo + b])
-    raw /= K
-    return raw
+            raw = out[j, lo : lo + b]
+            _slab_sum(_slab_sum(d_b, d_b[0]), raw)
+            raw /= K
+        if drop is not None:
+            live = drop(live, lo, lo + b)
 
 
 def _prepare(data: Dataset, cfg: FwfConfig):
@@ -410,45 +431,156 @@ def _pass_rows(n_train: int, order_L: int) -> int:
 
 
 def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
-    """Evaluate every grid alpha on the training set.
+    """Find the grid alpha with the lowest training MSE, scoring fully only
+    the points that can still win.
 
-    The sorted grid is taken in passes of :func:`_pass_rows` alphas.  Each
-    pass evaluates its alphas with one :func:`_sweep_outputs` call,
-    scores each raw row and drops the block, so the sweep holds one pass of
-    ``rows x N`` raw outputs at a time.  A row's bits do not depend on the
-    alphas beside it, so the statistics do not depend on the pass size.
+    **Bound.**  For one alpha let ``u = raw - targets``.  At any bias b,
+    ``mean((u - b)**2) = Var(u) + (mean(u) - b)**2 >= Var(u)``, and
+    ``N Var(u)`` is at least ``q``, the sum over disjoint row blocks of the
+    squared deviations of ``u`` from each block's own mean, since that mean
+    minimizes its block's sum.  So ``q / N`` bounds the training MSE from
+    below, and ``q`` never falls as blocks (here, chunks) are added.
 
-    Returns the sorted grid, the training ``(bias, mse)`` at each of its
-    points, and the index of the lowest MSE; ties go to the smaller alpha.
-    Raises :class:`DataError` when no alpha has a finite MSE.
+    **Margin.**  Both sides are computed in floating point, with unit
+    roundoff e = 2**-53.  A block of b rows, raw outputs r and targets z,
+    adds to ``q``
+
+        Σr² - 2 Σrz + Σz² - (Σr - Σz)² / b - 8 (b + 4) e (Σr² + Σz²),
+
+    floored at 0.  Each of those sums, in any order, is off by at most
+    (b - 1) e times the sum of its terms' magnitudes, and those are at most
+    Σr² + Σz² for Σrz and (Σ|r| + Σ|z|)² / b <= 2 (Σr² + Σz²) for the last
+    term, so with the few operations after them the rounding moves the
+    value by less than the subtracted term (b 2**-1070 more covers results
+    below the normal range), and each computed block sum is at most the
+    exact one.  Adding the non-negative block sums rounds ``q`` up by a
+    relative (N / _ROW_CHUNK + 2) e at most.  On the MSE side every raw
+    output is at most 1.01 sum|weights| in magnitude (a weight times kernel
+    values in [0, 1]), so the bias is at most 1.03 A, with
+    ``A = sum|weights| + max|targets|``.  Rounding moves each element of
+    ``raw - bias - targets`` by at most 6 e A, so the root of N times the
+    MSE by at most 6 e A sqrt(N) (the triangle inequality in the 2-norm),
+    and the sum of its squares by a relative (N + 1) e.  So
+
+        sqrt(MSE) >= sqrt(q / N) / (1 + rho) - a,
+        rho = (N + 2 _ROW_CHUNK + 64) e,  a = 64 e A + 2**-500,
+
+    the slack covering the bound's own roundings and subnormal squares.  A
+    point is dropped when the square of the right side, the bound it
+    records, exceeds the best computed MSE so far.  An overflow anywhere
+    makes ``q`` NaN, which never drops a point.
+
+    **Search.**  (1) Screen: evaluate every point on the first P rows in
+    one sweep, so that each chunk is gathered once for all of them, and
+    order the points by ascending ``q``; P is ``_SCREEN_ROWS``, or fewer
+    where N or the memory bound below is smaller.  (2) Fully score the lowest point.
+    (3) Take the rest, in that order, in passes that share each chunk's
+    gather; before a pass and after each chunk, drop a point whose bound
+    exceeds the best MSE so far.  A point that reaches the last row is
+    scored with :func:`_train_stats` on its full raw row, as an exhaustive
+    search would score it, and a dropped point's MSE is strictly above the
+    best one, so the pick, its bias and MSE do not depend on the pruning,
+    and ties still go to the smaller alpha.  A one-point grid skips the
+    screen, and when the screen covers all N rows every point is scored
+    from it.
+
+    **Memory.**  Raw outputs held at once stay within ``_pass_rows(N, L)``
+    rows of N: the screen holds at most half of that, and a pass takes as
+    many full rows as fit beside it (at least one).
+
+    Returns the sorted grid; for each point its training ``(bias, mse)``,
+    or ``(None, bound)`` if it was dropped, ``bound`` being the lower bound
+    on its MSE that dropped it; and the index of the lowest MSE.  Raises
+    :class:`DataError` when no alpha has a finite MSE.
     """
     alphas = np.sort(grid)
     X, z = data.windows, data.targets
+    N, n = len(z), len(alphas)
     z_mean = np.mean(z)
-    rows = _pass_rows(len(z), X.shape[1])
-    stats = []
-    for lo in range(0, len(alphas), rows):
-        part = alphas[lo : lo + rows]
-        raw = _sweep_outputs(X, offsets, nbr_idx, weights, s_in, part)
-        stats += [_train_stats(r, z, z_mean) for r in raw]
-        del raw  # freed before the next pass allocates its block
-    best, best_mse = 0, np.inf
+    budget = _pass_rows(N, X.shape[1]) * N  # raw doubles held at once
+    P = 0 if n == 1 else min(N, _SCREEN_ROWS, budget // (2 * n))
+    stats, q = [None] * n, np.zeros(n)
+    rho = (N + 2 * _ROW_CHUNK + 64) * _EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 64 * _EPS * float(np.abs(weights).sum() + np.abs(z).max()) + 2.0**-500
+    best = np.inf
+
+    def sweep(ids, rows, start=0, drop=None):
+        _sweep_outputs(X, offsets, nbr_idx, weights, s_in, alphas[ids], rows,
+                       start, drop)
+
+    def kept(js):
+        """Which of the points ``js`` their rows so far do not rule out;
+        records the bound of the others."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.sqrt(q[js] / N) / (1.0 + rho) - a
+            bound = np.where(s > 0, s * s, 0.0)
+        out = (best < bound) & (bound < np.inf)
+        for j, m in zip(js[out].tolist(), bound[out].tolist()):
+            stats[j] = (None, m)
+        return ~out
+
+    def bounded(ids, rows):
+        """A ``drop`` for :func:`_sweep_outputs` over the points ``ids``."""
+
+        def drop(live, lo, hi):
+            # a view while every point is live; a copy once some are dropped
+            raw = rows[:, lo:hi] if len(live) == len(rows) else rows[live, lo:hi]
+            zc, b = z[lo:hi], hi - lo
+            with np.errstate(over="ignore", invalid="ignore"):
+                rr = np.einsum("ij,ij->i", raw, raw)
+                zz = np.einsum("i,i", zc, zc)
+                s = np.einsum("ij->i", raw) - np.einsum("i->", zc)
+                block = rr - 2.0 * np.einsum("ij,j->i", raw, zc) + zz - s * s / b
+                block -= 8 * (b + 4) * _EPS * (rr + zz) + b * 2.0**-1070
+                q[ids[live]] += np.maximum(block, 0.0)
+            return live[kept(ids[live])]
+
+        return drop
+
+    screen = np.empty((n, P))
+    if P == N:
+        sweep(np.arange(n), screen)
+        stats = [_train_stats(r, z, z_mean) for r in screen]
+    else:
+
+        def run_pass(ids, prune=True):
+            nonlocal best
+            rows = np.empty((len(ids), N))
+            rows[:, :P] = screen[ids]
+            sweep(ids, rows, P, bounded(ids, rows) if prune else None)
+            for j, row in zip(ids.tolist(), rows):
+                if stats[j] is None:
+                    stats[j] = _train_stats(row, z, z_mean)
+                    if stats[j][1] < best:
+                        best = stats[j][1]
+
+        if P:
+            sweep(np.arange(n), screen, 0, bounded(np.arange(n), screen))
+        order = np.argsort(q, kind="stable")
+        run_pass(order[:1], prune=False)
+        rest, r = order[1:], max(1, (budget - n * P) // N)
+        while len(rest := rest[kept(rest)]):
+            run_pass(rest[:r])
+            rest = rest[r:]
+    best_j, best_mse = 0, np.inf
     for j, (_, mse) in enumerate(stats):
         if mse < best_mse:
-            best, best_mse = j, mse
+            best_j, best_mse = j, mse
     if best_mse == np.inf:
         raise DataError(
             "training MSE is not finite at any alpha; the targets are too large"
         )
-    return alphas, stats, best
+    return alphas, stats, best_j
 
 
 def fit(data: Dataset, cfg: FwfConfig) -> FwfModel:
     """Fit the filter: weights, partner set, neighbor index, bias.
 
-    The functional kernel on the alpha-free state evaluates every alpha of
-    the grid (see :class:`FwfConfig`) in passes of bounded memory; ties go
-    to the smaller alpha.
+    The functional kernel on the alpha-free state picks the alpha of the
+    grid (see :class:`FwfConfig`) with the lowest training MSE, fully
+    scoring only the points that can still win, in passes of bounded
+    memory; ties go to the smaller alpha.
     """
     s_in, ridge, weights, offsets, index, nbr_idx = _prepare(data, cfg)
     grid = DEFAULT_ALPHA_GRID if _is_auto(cfg.alpha) else cfg.alpha

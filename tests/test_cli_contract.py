@@ -21,9 +21,10 @@ past the series length, a generator setting that is not finite) ends in
 exit 2, and an unreadable or non-UTF-8 config or series file, a missing
 file whose name holds a newline, an edited model file, a model horizon past
 the series length, a series file that cannot be standardized or holds a
-non-finite sample, or an output that cannot be written (``--out``, a file
-written beside it or a bench file; found before any data is read), in exit
-3; each prints exactly one ``error:`` line and writes no file.
+non-finite sample, an output that cannot be written (``--out``, a file
+written beside it or a bench file; found before any data is read), a
+series too long to allocate, or a bench cell that runs out of memory, in
+exit 3; each prints exactly one ``error:`` line and writes no file.
 
 Each command writes exactly ``--out``: drawn names with no suffix, one dot
 or several give the output and its ``<out-stem>`` siblings and nothing
@@ -617,3 +618,42 @@ def test_config_fault(files, tmp_path, case):
     series = ["--series", files[0]] if command == "fit" else []
     check_fault(tmp_path, 2, named, command, "--config", path, *series,
                 "--out", tmp_path / "out")
+
+
+# sizes past 256 TiB of doubles: the allocation fails at once, before any
+# memory is touched
+HUGE_N = 100_000_000_000_000
+MEMORY_FAULTS = {
+    "mackey-glass-n": {"dataset": "mackey_glass", "n": HUGE_N},
+    "lorenz-n": {"dataset": "lorenz", "n": HUGE_N},
+    "fir-n": {"dataset": "fir", "n": HUGE_N},
+    "mackey-glass-warmup": {"dataset": "mackey_glass", "n": 50, "warmup": HUGE_N},
+    # the delay history of 1e17 slots, built before the samples
+    "mackey-glass-history": {"dataset": "mackey_glass", "n": 50, "tau_delay": 1e17,
+                             "step": 1.0, "warmup": 10**17},
+}
+
+
+@pytest.mark.parametrize("case", list(MEMORY_FAULTS))
+def test_out_of_memory(tmp_path, case):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(MEMORY_FAULTS[case]))
+    check_fault(tmp_path, 3, "out of memory", "generate", "--config", path,
+                "--out", tmp_path / "s.csv")
+
+
+def test_bench_out_of_memory_ends_the_run(tmp_path, monkeypatch):
+    # only expected numerical failures are errored cells: a cell that runs
+    # out of memory ends the bench, which has written nothing yet
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fw.baselines, "krls_fit", no_memory)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(
+        {"dataset": "fir", "train_sizes": [60], "folds": 2, "test_size": 20,
+         "methods": [{"name": "wiener"}, {"name": "krls", "sigma": 1.0}],
+         "timing": {"method": "wiener", "sizes": [30, 60, 90], "repeats": 1,
+                    "queries": 10}}))
+    check_fault(tmp_path, 3, "error: out of memory", "bench", "--config", path,
+                "--out", tmp_path / "res")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import hilbert
 from scipy.spatial.distance import cdist
 
@@ -657,17 +657,37 @@ def chunk_data(chunk_series, extra):
 
 
 def check_curve(data, cfg):
-    """Assert that the search's curve and pick on the default grid, and a
-    fit's, equal the per-alpha loop's bitwise; return the fit."""
-    (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+    """Assert that the search on the default grid, and a fit, keep the
+    per-alpha loop's pick and statistics (see :func:`assert_search`);
+    return the fit."""
+    search, (ref_alpha, ref_stats) = search_and_oracle(
         data, cfg, fwf_core.DEFAULT_ALPHA_GRID
     )
-    assert stats == ref_stats
-    assert float(alphas[best]) == ref_alpha
+    best = assert_search(search, (ref_alpha, ref_stats))
     m = fw.fit(data, cfg)
     assert m.alpha == ref_alpha
     assert (m.bias, m.train_mse) == ref_stats[best]
     return m
+
+
+def assert_search(search, oracle):
+    """The search against the per-alpha loop: the same pick, bias and MSE,
+    every fully scored point bitwise equal, and every dropped point's MSE
+    strictly above the pick's and at least the bound it was dropped on.
+    Returns the pick's index."""
+    (alphas, stats, best), (ref_alpha, ref_stats) = search, oracle
+    ref_best, low = 0, np.inf
+    for j, (_, mse) in enumerate(ref_stats):
+        if mse < low:
+            ref_best, low = j, mse
+    assert best == ref_best and float(alphas[best]) == ref_alpha
+    assert np.array(stats[best]).tobytes() == np.array(ref_stats[best]).tobytes()
+    for (bias, mse), ref in zip(stats, ref_stats):
+        if bias is None:
+            assert ref[1] > low and ref[1] >= mse
+        else:
+            assert np.array([bias, mse]).tobytes() == np.array(ref).tobytes()
+    return best
 
 
 def search_and_oracle(data, cfg, grid):
@@ -702,23 +722,29 @@ class TestTuneAlpha:
     def test_curve_bitwise_equal_in_passes(
         self, chunk_series, monkeypatch, extra, k, rows
     ):
-        # the default rule takes the 50-point grid in one pass here; 3 and
-        # 7 rows a pass leave a shorter last pass
+        # the default rule screens and scores the 50-point grid in one
+        # sweep here; with 1, 3 or 7 rows of raw outputs a pass, the screen
+        # shrinks to a prefix and the rest is scored in passes that prune
         data = chunk_data(chunk_series, extra)
         cfg = fw.FwfConfig(order_L=10, k_neighbors=k)
         assert fwf_core._pass_rows(len(data), 10) >= 50
         one_pass = fw.fit(data, cfg)
-        passes, outputs = [], fwf_core._sweep_outputs
+        held, outputs = [], fwf_core._sweep_outputs
 
         def spy(*args):
-            passes.append(len(args[-1]))  # the alphas
+            held.append([len(r) for r in args[6]])  # the raw output rows
             return outputs(*args)
 
         monkeypatch.setattr(fwf_core, "_sweep_outputs", spy)
         monkeypatch.setattr(fwf_core, "_pass_rows", lambda n_train, order_L: rows)
         assert_same_fit(check_curve(data, cfg), one_pass)
-        # check_curve searches once directly and once inside its fit
-        assert passes == 2 * [min(rows, 50 - lo) for lo in range(0, 50, rows)]
+        # the search and the fit each screen all 50 points on a prefix, then
+        # score whole rows, never holding more than the pass allows
+        N = len(data)
+        screens = [h for h in held if h[0] < N]
+        assert len(screens) == 2 and all(len(h) == 50 for h in screens)
+        assert len(held) >= 4 and all(set(h) == {N} for h in held if h[0] == N)
+        assert max(map(sum, held)) <= rows * N
 
     @pytest.mark.parametrize("alpha", ["auto", 0.3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -737,24 +763,21 @@ class TestTuneAlpha:
         # L > 128 splits in two halves first
         data = fw.embed(fw.Series(chunk_series.values[: 400 + order]), order, 1)
         cfg = fw.FwfConfig(order_L=order, k_neighbors=k)
-        grid = fwf_core.DEFAULT_ALPHA_GRID
-        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
-            data, cfg, grid
-        )
-        assert stats == ref_stats
-        assert float(alphas[best]) == ref_alpha
+        assert_search(*search_and_oracle(data, cfg, fwf_core.DEFAULT_ALPHA_GRID))
 
     def test_duplicated_grid_entry_ties_to_first(self, small_data):
         grid = [0.8, 0.05, 0.2, 0.4]
         winner = fit_grid(small_data, grid).alpha
         assert winner == 0.05
         dup = grid + [winner]
-        (alphas, stats, best), (ref_alpha, ref_stats) = search_and_oracle(
+        search, oracle = search_and_oracle(
             small_data, fw.FwfConfig(order_L=10, sigma_input=0.5), dup
         )
-        assert stats == ref_stats
-        assert float(alphas[best]) == ref_alpha == winner
+        best = assert_search(search, oracle)
+        alphas, stats, _ = search
+        assert float(alphas[best]) == winner
         assert alphas[best + 1] == winner
+        # a copy of the pick is never dropped: its bound is at most its MSE
         assert stats[best] == stats[best + 1]
         assert_same_fit(fit_grid(small_data, dup), fit_grid(small_data, grid))
 
@@ -793,6 +816,123 @@ class TestTuneAlpha:
         assert np.all(np.diff(g) > 0)
 
 
+@pytest.fixture(scope="module")
+def long_series():
+    """Standardized Mackey-Glass series long enough for five row chunks."""
+    return fw.standardize(
+        fw.gen_mackey_glass(fw.MGParams(), 5 * fwf_core._ROW_CHUNK + 20)
+    )
+
+
+def five_chunks(series):
+    """An order-10 dataset of five row chunks."""
+    n_rows = 5 * fwf_core._ROW_CHUNK
+    return fw.embed(fw.Series(series.values[: n_rows + 10]), 10, 1)
+
+
+def prepared(data, cfg):
+    """The arguments of ``_search_alpha`` but the grid."""
+    s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
+    return s_in, weights, offsets, nbr_idx
+
+
+@st.composite
+def alpha_grids(draw):
+    """1 to 60 alphas, log-uniform from 0.003 to 5, with copies and
+    neighbours one ulp apart."""
+    values = draw(st.lists(st.floats(-2.5, 0.7).map(lambda e: 10.0**e),
+                           min_size=1, max_size=40))
+    extra = st.tuples(st.integers(0, len(values) - 1),
+                      st.sampled_from([0.0, np.inf, -np.inf]))
+    for i, toward in draw(st.lists(extra, max_size=20)):
+        v = values[i]
+        values.append(v if toward == 0 else float(np.nextafter(v, toward)))
+    return values[:60]
+
+
+class TestPrunedSearch:
+    """The search drops a point once a lower bound on its training MSE
+    exceeds the best MSE so far; what it keeps must be the per-alpha
+    loop's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(white=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           n_rows=st.one_of(st.integers(2, fwf_core._ROW_CHUNK),
+                            st.integers(fwf_core._ROW_CHUNK + 1, 5 * fwf_core._ROW_CHUNK)),
+           order=st.integers(1, 10), k=st.integers(1, 3), grid=alpha_grids())
+    def test_same_pick_as_per_alpha_loop(self, long_series, white, seed,
+                                         n_rows, order, k, grid):
+        # up to five chunks, so that points are dropped in mid-series
+        if white:
+            x = np.random.default_rng(seed).standard_normal(n_rows + order)
+        else:
+            x = long_series.values[: n_rows + order]
+        data = fw.embed(fw.Series(x), order, 1)
+        args = (data, np.array(grid)) + prepared(data, fw.FwfConfig(order, k_neighbors=k))
+        assert_search(fwf_core._search_alpha(*args), oracles.alpha_search(*args))
+
+    def test_prunes_most_kernel_passes(self, long_series, exp_spy):
+        # a sharp curve over five chunks: after the first chunk and the
+        # best point's whole row, the bounds rule out the rest.  Each
+        # (alpha, chunk) pass calls exp once
+        data = five_chunks(long_series)
+        chunks = 5
+        grid = np.geomspace(0.01, 2.0, 20)
+        args = (data, grid) + prepared(data, fw.FwfConfig(order_L=10))
+        exp_spy.skipped.clear()
+        search = fwf_core._search_alpha(*args)
+        assert len(exp_spy.skipped) <= len(grid) * chunks // 3
+        assert_search(search, oracles.alpha_search(*args))
+
+    def test_points_closer_than_the_margin_are_both_scored(self, long_series):
+        data = five_chunks(long_series)
+        s_in, weights, offsets, nbr_idx = prepared(data, fw.FwfConfig(order_L=10))
+        pick = fw.fit(data, fw.FwfConfig(order_L=10)).alpha
+        grid = np.append(fwf_core.DEFAULT_ALPHA_GRID, np.nextafter(pick, 1.0))
+        args = (data, grid, s_in, weights, offsets, nbr_idx)
+        search = fwf_core._search_alpha(*args)
+        assert_search(search, oracles.alpha_search(*args))
+        alphas, stats, best = search
+        assert alphas[best] == pick and alphas[best + 1] == np.nextafter(pick, 1.0)
+        (b0, m0), (b1, m1) = stats[best : best + 2]
+        assert b0 is not None and b1 is not None
+        # closer than the relative part of the margin alone
+        rho = (len(data) + 2 * fwf_core._ROW_CHUNK + 64) * 2.0**-53
+        assert abs(m1 - m0) < rho * m0
+        assert sum(b is None for b, _ in stats) >= len(grid) - 3
+
+    @staticmethod
+    def scaled(long_series, headroom):
+        """Search arguments with the weights and targets scaled by S, so
+        that every MSE is S**2 times its unscaled value, and the sum of
+        squares overflows above ``headroom`` times the lowest MSE."""
+        data = fw.embed(fw.Series(long_series.values[: 3 * fwf_core._ROW_CHUNK + 10]), 10, 1)
+        s_in, weights, offsets, nbr_idx = prepared(data, fw.FwfConfig(order_L=10))
+        grid = np.geomspace(0.01, 2.0, 20)
+        _, ref = oracles.alpha_search(data, grid, s_in, weights, offsets, nbr_idx)
+        low = min(m for _, m in ref)
+        S = np.sqrt(np.finfo(float).max / (len(data) * headroom * low))
+        big = fw.Dataset(
+            windows=data.windows, targets=data.targets * S, order_L=10,
+            horizon=1, source_x=data.source_x, source_z=data.source_z * S,
+        )
+        return big, grid, s_in, weights * S, offsets, nbr_idx
+
+    def test_some_infinite_mses(self, long_series):
+        args = self.scaled(long_series, 3.0)
+        search = fwf_core._search_alpha(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = oracles.alpha_search(*args)
+        mses = [m for _, m in oracle[1]]
+        assert np.inf in mses and min(mses) < np.inf
+        assert_search(search, oracle)
+
+    def test_every_mse_infinite_raises(self, long_series):
+        args = self.scaled(long_series, 0.5)
+        with pytest.raises(DataError, match="not finite at any alpha"):
+            fwf_core._search_alpha(*args)
+
+
 class TestSweepMemory:
     def test_peak_does_not_grow_with_the_grid(self):
         # numpy reports its buffers to tracemalloc.  At N = 2e4 a pass holds
@@ -815,6 +955,25 @@ class TestSweepMemory:
         block = fwf_core._pass_rows(len(data), 10) * len(data) * 8
         assert block == 104 * 20_000 * 8
         assert traced_peak(200) <= traced_peak(10) + block + 2**20
+
+    def test_peak_without_pruning_stays_in_the_same_bound(self):
+        # 200 copies of one alpha: no point can be dropped, so the screen
+        # and every pass hold as many raw output rows as the bound allows
+        s = fw.standardize(fw.gen_mackey_glass(fw.MGParams(), 20_000 + 10))
+        data = fw.embed(s, 10, 1)
+
+        def traced_peak(grid):
+            cfg = fw.FwfConfig(order_L=10, alpha=grid)
+            tracemalloc.start()
+            try:
+                fw.fit(data, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = fwf_core._pass_rows(len(data), 10) * len(data) * 8
+        copies = traced_peak([0.05] * 200)
+        assert copies <= traced_peak(np.logspace(-2, np.log10(2), 10)) + block + 2**20
 
 
 class TestSlabSum:
@@ -901,22 +1060,25 @@ class TestExpUnderflow:
         self, chunk_series, exp_spy
     ):
         # a small width and a grid up to 8: at the top of the grid the short
-        # last chunk has every lane under the bound, the full one most
+        # last chunk has every lane under the bound, the full one most.  The
+        # search drops the top of the grid after the first chunk, so the top
+        # point is also searched alone, which evaluates both its chunks
         n_rows = fwf_core._ROW_CHUNK + 3
         data = fw.embed(fw.Series(chunk_series.values[: n_rows + 10]), 10, 1)
         cfg = fw.FwfConfig(order_L=10, sigma_input=0.02)
         grid = np.geomspace(0.01, 8.0, 20)
         s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
-        args = (data, grid, s_in, weights, offsets, nbr_idx)
-        exp_spy.skipped.clear()  # the width and offsets call exp too
-        alphas, stats, best = fwf_core._search_alpha(*args)
-        skipped = exp_spy.skipped
-        assert len(skipped) == 2 * len(grid)
+        skipped = []
+        for g in (grid, grid[-1:]):
+            args = (data, g, s_in, weights, offsets, nbr_idx)
+            exp_spy.skipped.clear()  # the width and offsets call exp too
+            search = fwf_core._search_alpha(*args)
+            # no (alpha, chunk) pair is evaluated twice
+            assert len(exp_spy.skipped) <= 2 * len(g)
+            skipped += exp_spy.skipped
+            assert_search(search, oracles.alpha_search(*args))
         assert 0.0 in skipped and 1.0 in skipped
         assert any(0.0 < f < 1.0 for f in skipped)
-        ref_alpha, ref_stats = oracles.alpha_search(*args)
-        assert stats == ref_stats
-        assert float(alphas[best]) == ref_alpha
 
     def test_far_off_queries_bitwise_equal_to_oracle(self, small_model, exp_spy):
         # shifts of 0 to 40 in a width of 0.5: a full chunk with some lanes

@@ -35,6 +35,8 @@ import numpy as np
 # config file -> its JSON, written before the first command
 CONFIGS = {
     "mg.json": {"dataset": "mackey_glass", "n": 2100, "downsample": 60},
+    # long enough that the alpha search drops grid points in mid-series
+    "mg_long.json": {"dataset": "mackey_glass", "n": 20000, "downsample": 1},
     "fir.json": {"dataset": "fir", "n": 1500, "seed": 3},
     "fwf_auto.json": {"method": "fwf", "order_L": 5},
     "fwf_fixed.json": {"method": "fwf", "order_L": 5, "alpha": 0.4,
@@ -60,12 +62,17 @@ CONFIGS = {
 def _matrix() -> list[list[str]]:
     """The commands, in run order; paths are relative to the run directory."""
     runs = [["generate", "--config", "mg.json", "--out", "mg.csv"],
+            ["generate", "--config", "mg_long.json", "--out", "mg_long.csv"],
             ["generate", "--config", "fir.json", "--out", "fir.csv"]]
     for name in ("fwf_auto", "fwf_fixed", "wiener", "klms", "krls"):
         runs += [["fit", "--config", f"{name}.json", "--series", "mg.csv",
                   "--out", f"{name}.npz"],
                  ["predict", "--model", f"{name}.npz", "--series", "mg.csv",
                   "--out", f"{name}.pred.csv"]]
+    runs += [["fit", "--config", "fwf_auto.json", "--series", "mg_long.csv",
+              "--out", "fwf_long.npz"],
+             ["predict", "--model", "fwf_long.npz", "--series", "mg_long.csv",
+              "--out", "fwf_long.pred.csv"]]
     pair = ["--series", "fir.csv", "--desired", "fir.desired.csv"]
     runs += [["fit", "--config", "wiener_fir.json", *pair, "--out", "wiener_fir.npz"],
              ["predict", "--config", "unscaled.json", "--model", "wiener_fir.npz",
