@@ -68,6 +68,12 @@ _PASS_BYTES = 16 * 2**20
 # grid as well as three did, and evaluates the fewest (alpha, chunk) pairs
 _SCREEN_ROWS = _ROW_CHUNK
 
+# the alpha search's first pass, which scores the point of lowest screen
+# bound, also takes the points whose bound is within this factor of it: at
+# the same rate per row such a point would be dropped, if at all, only in
+# its last fifth of rows, and sharing the pass saves a sweep of gathers
+_NEAR = 1.25
+
 # unit roundoff of a double
 _EPS = 2.0**-53
 
@@ -473,16 +479,18 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     **Search.**  (1) Screen: evaluate every point on the first P rows in
     one sweep, so that each chunk is gathered once for all of them, and
     order the points by ascending ``q``; P is ``_SCREEN_ROWS``, or fewer
-    where N or the memory bound below is smaller.  (2) Fully score the lowest point.
-    (3) Take the rest, in that order, in passes that share each chunk's
-    gather; before a pass and after each chunk, drop a point whose bound
-    exceeds the best MSE so far.  A point that reaches the last row is
-    scored with :func:`_train_stats` on its full raw row, as an exhaustive
-    search would score it, and a dropped point's MSE is strictly above the
-    best one, so the pick, its bias and MSE do not depend on the pruning,
-    and ties still go to the smaller alpha.  A one-point grid skips the
-    screen, and when the screen covers all N rows every point is scored
-    from it.
+    where N or the memory bound below is smaller.  (2) Fully score the
+    lowest point in a pass that cannot drop anything, and with it, up to a
+    pass, the next points whose ``q`` is within ``_NEAR`` times its own:
+    those would be dropped late if at all, and a pass of one would need
+    its own gather of every chunk.  (3) Take the rest, in that order, in
+    passes that share each chunk's gather; before a pass and after each
+    chunk, drop a point whose bound exceeds the best MSE so far.  A point
+    that reaches the last row is scored with :func:`_train_stats` on its
+    full raw row, as an exhaustive search would score it, and a dropped
+    point's MSE is strictly above the best one, so the pick, its bias and
+    MSE do not depend on the pruning, and ties still go to the smaller
+    alpha.  A one-point grid skips the screen.
 
     **Memory.**  Raw outputs held at once stay within ``_pass_rows(N, L)``
     rows of N: the screen holds at most half of that, and a pass takes as
@@ -538,31 +546,29 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
 
         return drop
 
+    def run_pass(ids, prune=True):
+        nonlocal best
+        rows = np.empty((len(ids), N))
+        rows[:, :P] = screen[ids]
+        sweep(ids, rows, P, bounded(ids, rows) if prune else None)
+        for j, row in zip(ids.tolist(), rows):
+            if stats[j] is None:
+                stats[j] = _train_stats(row, z, z_mean)
+                if stats[j][1] < best:
+                    best = stats[j][1]
+
     screen = np.empty((n, P))
-    if P == N:
-        sweep(np.arange(n), screen)
-        stats = [_train_stats(r, z, z_mean) for r in screen]
-    else:
-
-        def run_pass(ids, prune=True):
-            nonlocal best
-            rows = np.empty((len(ids), N))
-            rows[:, :P] = screen[ids]
-            sweep(ids, rows, P, bounded(ids, rows) if prune else None)
-            for j, row in zip(ids.tolist(), rows):
-                if stats[j] is None:
-                    stats[j] = _train_stats(row, z, z_mean)
-                    if stats[j][1] < best:
-                        best = stats[j][1]
-
-        if P:
-            sweep(np.arange(n), screen, 0, bounded(np.arange(n), screen))
-        order = np.argsort(q, kind="stable")
-        run_pass(order[:1], prune=False)
-        rest, r = order[1:], max(1, (budget - n * P) // N)
-        while len(rest := rest[kept(rest)]):
-            run_pass(rest[:r])
-            rest = rest[r:]
+    if P:
+        sweep(np.arange(n), screen, 0, bounded(np.arange(n), screen))
+    order = np.argsort(q, kind="stable")
+    r = max(1, (budget - n * P) // N)
+    # the first pass, which cannot drop a point, takes the near ones too
+    head = max(1, int(np.searchsorted(q[order[:r]], _NEAR * q[order[0]], "right")))
+    run_pass(order[:head], prune=False)
+    rest = order[head:]
+    while len(rest := rest[kept(rest)]):
+        run_pass(rest[:r])
+        rest = rest[r:]
     best_j, best_mse = 0, np.inf
     for j, (_, mse) in enumerate(stats):
         if mse < best_mse:

@@ -884,6 +884,23 @@ class TestPrunedSearch:
         assert len(exp_spy.skipped) <= len(grid) * chunks // 3
         assert_search(search, oracles.alpha_search(*args))
 
+    def test_nothing_to_drop_takes_no_extra_pass(self, long_series, monkeypatch):
+        # copies of one alpha have equal screen bounds, so the first pass
+        # scores them all: each chunk is gathered once for the screen and
+        # once for the pass, not again for a pass of the lowest point alone
+        data = five_chunks(long_series)
+        held, outputs = [], fwf_core._sweep_outputs
+
+        def spy(*args):
+            held.append(len(args[6]))  # the raw output rows
+            return outputs(*args)
+
+        monkeypatch.setattr(fwf_core, "_sweep_outputs", spy)
+        args = (data, np.full(20, 0.05)) + prepared(data, fw.FwfConfig(order_L=10))
+        search = fwf_core._search_alpha(*args)
+        assert held == [20, 20]
+        assert_search(search, oracles.alpha_search(*args))
+
     def test_points_closer_than_the_margin_are_both_scored(self, long_series):
         data = five_chunks(long_series)
         s_in, weights, offsets, nbr_idx = prepared(data, fw.FwfConfig(order_L=10))
