@@ -77,11 +77,6 @@ _NEAR = 1.25
 # unit roundoff of a double
 _EPS = 2.0**-53
 
-# exp rounds every argument below this to +0.0: exp(-746) is about 1e-324,
-# under half the smallest subnormal.  numpy's exp takes a slow path for
-# zero and subnormal results, so these lanes are set rather than computed
-_EXP_ZERO = -746.0
-
 
 def _check_alpha(a) -> float:
     """``a`` as a float if it is a positive finite real."""
@@ -296,27 +291,13 @@ def _slab_sum(x, out):
     return np.add(x[0], 0.0, out=out)
 
 
-def _kernel_terms(d, q, w, neg_s2, zero=None):
+def _kernel_terms(d, q, w, neg_s2):
     """Turn partner coordinates ``d`` into weighted kernel terms, in place:
-    ``d - q``, squared, divided by ``neg_s2``, ``exp``, times ``w``.
-
-    ``zero`` is an optional bool work array of ``d``'s shape.  When the
-    block's minimum is under ``_EXP_ZERO``, the lanes under it get the +0.0
-    that ``exp`` would return, without calling it, and the others go
-    through the same ``exp`` loop, so every lane is bitwise what ``exp``
-    gives.  A NaN makes the minimum NaN, and the block takes plain ``exp``.
-    """
+    ``d - q``, squared, divided by ``neg_s2``, ``exp``, times ``w``."""
     d -= q
     d *= d
     d /= neg_s2  # -(d / s2) bitwise: IEEE division is sign-symmetric
-    # the minimum is a cheaper test than building the mask on the many
-    # blocks that have no such lane
-    if d.min() < _EXP_ZERO:
-        zero = np.less(d, _EXP_ZERO, out=zero)
-        np.exp(d, out=d, where=~zero)
-        np.copyto(d, 0.0, where=zero)
-    else:
-        np.exp(d, out=d)
+    np.exp(d, out=d)
     d *= w
 
 
@@ -353,7 +334,6 @@ def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas, out,
     # the query and weight blocks stay full-shape: as broadcast L x 1 x b
     # and L x 1 x 1 views they keep the bits but slow _kernel_terms by 15%
     pts, offs, d, q, w = np.empty((5, L, K, min(stop - start, _ROW_CHUNK)))
-    zero = np.empty(d.shape, dtype=bool)
     w[...] = weights[:, None, None]
     live = np.arange(len(alphas))
     for lo in range(start, stop, _ROW_CHUNK):
@@ -371,11 +351,11 @@ def _sweep_outputs(X, offsets, nbr_idx, weights, sigma_input, alphas, out,
         np.take(offsets, rows, axis=0, out=nat, mode="clip")
         offs[..., :b] = nat.transpose(2, 1, 0)
         q[..., :b] = X[lo : lo + b].T[:, None, :]
-        p_b, o_b, d_b, q_b, w_b, z_b = (a[..., :b] for a in (pts, offs, d, q, w, zero))
+        p_b, o_b, d_b, q_b, w_b = (a[..., :b] for a in (pts, offs, d, q, w))
         for j in live:
             np.multiply(alphas[j], o_b, out=d_b)
             np.subtract(p_b, d_b, out=d_b)
-            _kernel_terms(d_b, q_b, w_b, neg_s2, z_b)
+            _kernel_terms(d_b, q_b, w_b, neg_s2)
             raw = out[j, lo : lo + b]
             _slab_sum(_slab_sum(d_b, d_b[0]), raw)
             raw /= K
@@ -490,7 +470,8 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     full raw row, as an exhaustive search would score it, and a dropped
     point's MSE is strictly above the best one, so the pick, its bias and
     MSE do not depend on the pruning, and ties still go to the smaller
-    alpha.  A one-point grid skips the screen.
+    alpha.  A one-point grid takes the same path: its pass starts where the
+    screen stopped, so it evaluates each chunk once.
 
     **Memory.**  Raw outputs held at once stay within ``_pass_rows(N, L)``
     rows of N: the screen holds at most half of that, and a pass takes as
@@ -506,7 +487,7 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
     N, n = len(z), len(alphas)
     z_mean = np.mean(z)
     budget = _pass_rows(N, X.shape[1]) * N  # raw doubles held at once
-    P = 0 if n == 1 else min(N, _SCREEN_ROWS, budget // (2 * n))
+    P = min(N, _SCREEN_ROWS, budget // (2 * n))
     stats, q = [None] * n, np.zeros(n)
     rho = (N + 2 * _ROW_CHUNK + 64) * _EPS
     with np.errstate(over="ignore", invalid="ignore"):
@@ -558,8 +539,7 @@ def _search_alpha(data, grid, s_in, weights, offsets, nbr_idx):
                     best = stats[j][1]
 
     screen = np.empty((n, P))
-    if P:
-        sweep(np.arange(n), screen, 0, bounded(np.arange(n), screen))
+    sweep(np.arange(n), screen, 0, bounded(np.arange(n), screen))
     order = np.argsort(q, kind="stable")
     r = max(1, (budget - n * P) // N)
     # the first pass, which cannot drop a point, takes the near ones too

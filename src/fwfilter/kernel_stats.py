@@ -168,8 +168,13 @@ def silverman_sigma(s) -> float:
 
 def resolve_width(w, x) -> float:
     """The checked width ``w``; ``None`` applies Silverman's rule to the
-    series ``x``."""
-    return silverman_sigma(x) if w is None else check_width("sigma", w)
+    series ``x``, and too short a series is a :class:`DataError`."""
+    if w is not None:
+        return check_width("sigma", w)
+    if len(x) < 2:
+        raise DataError(f"Silverman's rule needs at least 2 input samples, got "
+                        f"{len(x)}; set the kernel width to fit without it")
+    return silverman_sigma(x)
 
 
 def auto_ridge(mat) -> float:

@@ -20,11 +20,12 @@ rejects (a repeated bench method, a ``name`` key in a fit, a fit horizon
 past the series length, a generator setting that is not finite) ends in
 exit 2, and an unreadable or non-UTF-8 config or series file, a missing
 file whose name holds a newline, an edited model file, a model horizon past
-the series length, a series file that cannot be standardized or holds a
-non-finite sample, an output that cannot be written (``--out``, a file
-written beside it or a bench file; found before any data is read), a
-series too long to allocate, or a bench cell that runs out of memory, in
-exit 3; each prints exactly one ``error:`` line and writes no file.
+the series length, a series file that cannot be standardized, holds a
+non-finite sample or is too short for Silverman's rule, an output that
+cannot be written (``--out``, a file written beside it or a bench file;
+found before any data is read), a series too long to allocate, or a bench
+cell that runs out of memory, in exit 3; each prints exactly one
+``error:`` line and writes no file.
 
 Each command writes exactly ``--out``: drawn names with no suffix, one dot
 or several give the output and its ``<out-stem>`` siblings and nothing
@@ -332,6 +333,17 @@ def test_series_data_fault(fault_dir, command, fault):
     source = (["--config", paths["fit"]] if command == "fit"
               else ["--model", paths["model"]])
     check_fault(root, 3, named, command, *source, *data, "--out", paths["out"])
+
+
+# at order 1 a 2-sample series embeds one input sample, too few for
+# Silverman's rule: a data fault, which a set width avoids
+@pytest.mark.parametrize("method", ["fwf", "klms", "krls"])
+def test_series_too_short_for_silverman(tmp_path, method):
+    series, cfg = tmp_path / "two.csv", tmp_path / "fit.json"
+    series.write_text("value\n0.1\n0.5\n")
+    cfg.write_text(json.dumps({"method": method, "order_L": 1}))
+    check_fault(tmp_path, 3, "Silverman's rule needs at least 2 input samples, got 1",
+                "fit", "--config", cfg, "--series", series, "--out", tmp_path / "m.npz")
 
 
 # an output that cannot be written, checked before any data is read: the

@@ -879,9 +879,9 @@ class TestPrunedSearch:
         chunks = 5
         grid = np.geomspace(0.01, 2.0, 20)
         args = (data, grid) + prepared(data, fw.FwfConfig(order_L=10))
-        exp_spy.skipped.clear()
+        exp_spy.underflow.clear()
         search = fwf_core._search_alpha(*args)
-        assert len(exp_spy.skipped) <= len(grid) * chunks // 3
+        assert len(exp_spy.underflow) <= len(grid) * chunks // 3
         assert_search(search, oracles.alpha_search(*args))
 
     def test_nothing_to_drop_takes_no_extra_pass(self, long_series, monkeypatch):
@@ -1014,16 +1014,17 @@ class TestSlabSum:
 
 
 class MaskedExpSpy:
-    """Stands in for ``np.exp``; records for each call the share of lanes it
-    was told to skip (0 for a plain call)."""
+    """Stands in for ``np.exp``; records for each call the share of its
+    arguments below -746, where ``exp`` rounds to +0.0 (exp(-746) is under
+    half the smallest subnormal)."""
 
     def __init__(self, exp):
         self.exp = exp
-        self.skipped = []
+        self.underflow = []
 
-    def __call__(self, x, *args, where=True, **kwargs):
-        self.skipped.append(1.0 - float(np.mean(where)))
-        return self.exp(x, *args, where=where, **kwargs)
+    def __call__(self, x, *args, **kwargs):
+        self.underflow.append(float(np.mean(np.less(x, -746.0))))
+        return self.exp(x, *args, **kwargs)
 
 
 @pytest.fixture
@@ -1034,17 +1035,8 @@ def exp_spy(monkeypatch):
 
 
 class TestExpUnderflow:
-    """Lanes under ``_EXP_ZERO`` skip ``exp`` and take +0.0 instead."""
-
-    @pytest.mark.parametrize("n", [1, 7, 64, 1001])
-    def test_exp_is_positive_zero_at_and_below_the_bound(self, n):
-        # the premise of the skip: a numpy whose exp breaks it must fail here
-        bound = fwf_core._EXP_ZERO
-        assert bound <= -746.0
-        for v in (bound, np.nextafter(bound, -np.inf), bound - 0.5, -800.0,
-                  -1e4, -1e300, -np.finfo(float).max, -np.inf):
-            out = np.exp(np.full(n, v))
-            assert out.tobytes() == np.zeros(n).tobytes(), v
+    """Lanes whose ``exp`` underflows to +0.0 go through ``exp`` like the
+    rest, and give the bits of the unchunked formula."""
 
     def test_kernel_terms_bitwise_equal_to_plain_exp(self, exp_spy):
         rng = np.random.default_rng(3)
@@ -1052,7 +1044,7 @@ class TestExpUnderflow:
         q = rng.uniform(-1.0, 1.0, (10, 1, 300))
         w = rng.standard_normal((10, 1, 1))
         neg_s2 = -2.0 * 0.7 * 0.7
-        # normal, subnormal-result, just under the bound and infinite lanes,
+        # normal, subnormal-result, just under -746 and infinite lanes,
         # without and with a NaN lane
         far = np.sqrt(-neg_s2 * np.array([745.0, 746.0, 750.0, 1e3]))
         d[0, 0, :4] = q[0, 0, :4] + far
@@ -1065,19 +1057,18 @@ class TestExpUnderflow:
                 plain *= plain
                 plain /= neg_s2
                 plain = np.exp(plain) * w
-                for zero in (None, np.empty(d.shape, dtype=bool)):
-                    got = d.copy()
-                    exp_spy.skipped.clear()
-                    fwf_core._kernel_terms(got, q, w, neg_s2, zero)
-                    assert got.tobytes() == plain.tobytes()
-                    # a NaN sends the block down the plain path
-                    assert (exp_spy.skipped[0] == 0.0) == nan
+                got = d.copy()
+                exp_spy.underflow.clear()
+                fwf_core._kernel_terms(got, q, w, neg_s2)
+            assert got.tobytes() == plain.tobytes()
+            # one exp call, over every lane, the underflowing ones included
+            assert len(exp_spy.underflow) == 1 and exp_spy.underflow[0] > 0.0
 
     def test_search_bitwise_equal_with_no_some_and_all_lanes_skipped(
         self, chunk_series, exp_spy
     ):
         # a small width and a grid up to 8: at the top of the grid the short
-        # last chunk has every lane under the bound, the full one most.  The
+        # last chunk has every exp argument under -746, the full one most.  The
         # search drops the top of the grid after the first chunk, so the top
         # point is also searched alone, which evaluates both its chunks
         n_rows = fwf_core._ROW_CHUNK + 3
@@ -1085,28 +1076,28 @@ class TestExpUnderflow:
         cfg = fw.FwfConfig(order_L=10, sigma_input=0.02)
         grid = np.geomspace(0.01, 8.0, 20)
         s_in, _, weights, offsets, _, nbr_idx = fwf_core._prepare(data, cfg)
-        skipped = []
+        underflow = []
         for g in (grid, grid[-1:]):
             args = (data, g, s_in, weights, offsets, nbr_idx)
-            exp_spy.skipped.clear()  # the width and offsets call exp too
+            exp_spy.underflow.clear()  # the width and offsets call exp too
             search = fwf_core._search_alpha(*args)
             # no (alpha, chunk) pair is evaluated twice
-            assert len(exp_spy.skipped) <= 2 * len(g)
-            skipped += exp_spy.skipped
+            assert len(exp_spy.underflow) <= 2 * len(g)
+            underflow += exp_spy.underflow
             assert_search(search, oracles.alpha_search(*args))
-        assert 0.0 in skipped and 1.0 in skipped
-        assert any(0.0 < f < 1.0 for f in skipped)
+        assert 0.0 in underflow and 1.0 in underflow
+        assert any(0.0 < f < 1.0 for f in underflow)
 
     def test_far_off_queries_bitwise_equal_to_oracle(self, small_model, exp_spy):
-        # shifts of 0 to 40 in a width of 0.5: a full chunk with some lanes
-        # under the bound, then a short chunk and one window with all
+        # shifts of 0 to 40 in a width of 0.5: a full chunk with some exp
+        # arguments under -746, then a short chunk and one window with all
         n = fwf_core._ROW_CHUNK + 5
         X = small_model.train_windows[np.arange(n) % small_model.n_train]
         X = X + np.linspace(0.0, 40.0, n)[:, None]
         batch = fw.predict_batch(small_model, X)
         one = fw.predict(small_model, X[-1])
-        assert exp_spy.skipped[-1] == 1.0
-        assert any(0.0 < f < 1.0 for f in exp_spy.skipped)
+        assert exp_spy.underflow[-1] == 1.0
+        assert any(0.0 < f < 1.0 for f in exp_spy.underflow)
         nbr_idx, _ = neighbors.query_batch(small_model.neighbor_index, X, 2)
         ref = oracles.functional_outputs(
             small_model.weights, small_model.partners, nbr_idx, X,

@@ -41,6 +41,10 @@ CONFIGS = {
     "fwf_auto.json": {"method": "fwf", "order_L": 5},
     "fwf_fixed.json": {"method": "fwf", "order_L": 5, "alpha": 0.4,
                        "k_neighbors": 3, "horizon": 2},
+    # a narrow width and large alphas: exp underflows to 0 on part of every
+    # search block and of the predict
+    "fwf_far.json": {"method": "fwf", "order_L": 5, "sigma_input": 0.05,
+                     "alpha": [2.0, 4.0, 8.0]},
     "wiener.json": {"method": "wiener", "order_L": 5},
     "wiener_fir.json": {"method": "wiener", "order_L": 3, "horizon": 0,
                         "standardize": False},
@@ -64,7 +68,7 @@ def _matrix() -> list[list[str]]:
     runs = [["generate", "--config", "mg.json", "--out", "mg.csv"],
             ["generate", "--config", "mg_long.json", "--out", "mg_long.csv"],
             ["generate", "--config", "fir.json", "--out", "fir.csv"]]
-    for name in ("fwf_auto", "fwf_fixed", "wiener", "klms", "krls"):
+    for name in ("fwf_auto", "fwf_fixed", "fwf_far", "wiener", "klms", "krls"):
         runs += [["fit", "--config", f"{name}.json", "--series", "mg.csv",
                   "--out", f"{name}.npz"],
                  ["predict", "--model", f"{name}.npz", "--series", "mg.csv",
